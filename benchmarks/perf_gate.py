@@ -1,10 +1,11 @@
-"""Performance gate for the bulk and sharded engines — E16/E17/E19/E20.
+"""Performance gate for the bulk and sharded engines and the serving layer.
 
 Runs a small, CI-sized grid of bulk-engine (E16/E17), sharded
-MPC-runtime (E19), and trace-overhead (E20) cells and compares
-throughput (nodes per second) against the committed baselines in
-``benchmarks/baselines/BENCH_e16_bulk.json`` / ``BENCH_e17_bulk.json`` /
-``BENCH_e19_mpc.json`` / ``BENCH_e20_trace.json``.
+MPC-runtime (E19), trace-overhead (E20), and serve-epoch (E21) cells and
+compares throughput (nodes per second) against the committed baselines
+in ``benchmarks/baselines/BENCH_e16_bulk.json`` / ``BENCH_e17_bulk.json``
+/ ``BENCH_e19_mpc.json`` / ``BENCH_e20_trace.json`` /
+``BENCH_e21_serve.json``.
 
 Usage::
 
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from typing import Callable, Dict, List
@@ -45,7 +47,10 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core.bulk import bounded_arb_independent_set_bulk  # noqa: E402
-from repro.graphs.csr import csr_bounded_arboricity  # noqa: E402
+from repro.graphs.csr import (  # noqa: E402
+    bounded_arboricity_edges,
+    csr_bounded_arboricity,
+)
 from repro.mis.bulk import (  # noqa: E402
     ghaffari_mis_bulk,
     luby_a_mis_bulk,
@@ -117,6 +122,15 @@ GRIDS: Dict[str, List[dict]] = {
         {"algorithm": "serve-recompute", "n": 400, "seed": 0, "churn": 8, "epochs": 12},
         {"algorithm": "serve-repair", "n": 400, "seed": 0, "churn": 16, "epochs": 12},
         {"algorithm": "serve-recompute", "n": 400, "seed": 0, "churn": 16, "epochs": 12},
+        # The n-axis: one repair epoch's wall time on an alpha=2 graph
+        # as n grows 100x.  "seconds" is the median epoch (bootstrap
+        # excluded), so nodes_per_sec = n / epoch wall grows with n
+        # exactly when an epoch costs O(damage) rather than O(n); an
+        # O(n) pass creeping back into the epoch trips the floor at
+        # n=10^5 first.
+        {"algorithm": "serve-epoch", "n": 1_000, "seed": 0, "churn": 16, "epochs": 12},
+        {"algorithm": "serve-epoch", "n": 10_000, "seed": 0, "churn": 16, "epochs": 12},
+        {"algorithm": "serve-epoch", "n": 100_000, "seed": 0, "churn": 16, "epochs": 12},
     ],
 }
 
@@ -175,8 +189,53 @@ def _run_serve_cell(cell: dict) -> tuple:
     return rounds, len(session.mis)
 
 
+def serve_epoch_walls(n: int, churn: int, epochs: int, seed: int) -> tuple:
+    """Time repair epochs on a session over an alpha=2 graph of n nodes.
+
+    The session is bootstrapped from ``bounded_arboricity_edges(n, 2)``
+    (untimed), then applies the seeded loadgen churn, one batch of
+    ``churn`` mutations per epoch.  Returns ``(per-epoch seconds, total
+    repair rounds, final |MIS|)``.
+    """
+    import networkx as nx
+
+    from repro.serve.incremental import GraphSession
+    from repro.serve.loadgen import LoadGenConfig, mutation_batches
+
+    u, v = bounded_arboricity_edges(n, 2, seed=seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    session = GraphSession("perf-gate", seed=seed, graph=graph)
+    config = LoadGenConfig(seed=seed, nodes=n, epochs=epochs, churn=churn)
+    walls, rounds = [], 0
+    for batch in mutation_batches(config):
+        start = time.perf_counter()
+        report = session.apply_epoch(batch)
+        walls.append(time.perf_counter() - start)
+        rounds += report.rounds
+    return walls, rounds, len(session.mis)
+
+
+def _run_serve_epoch_cell(cell: dict) -> dict:
+    walls, rounds, mis_size = serve_epoch_walls(
+        cell["n"], cell["churn"], cell["epochs"], cell["seed"]
+    )
+    seconds = statistics.median(walls)
+    return {
+        "id": _cell_id(cell),
+        **cell,
+        "seconds": round(seconds, 6),
+        "nodes_per_sec": round(cell["n"] / seconds, 1),
+        "iterations": rounds,
+        "mis_size": mis_size,
+    }
+
+
 def run_cell(cell: dict) -> dict:
     """Execute one grid cell, best-of-k timing, and return its record."""
+    if cell["algorithm"] == "serve-epoch":
+        return _run_serve_epoch_cell(cell)
     serve_cell = cell["algorithm"].startswith("serve-")
     csr = None if serve_cell else _graph(cell["n"], cell["alpha"], cell["seed"])
     repeats = 3 if cell["n"] <= 300_000 else 2

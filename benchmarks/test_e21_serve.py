@@ -9,17 +9,25 @@ one that always recomputes (``repair_damage_cap=0.0``) — across a sweep
 of churn rates, and the repaired rounds-per-update must stay below the
 recompute line at every churn rate, most decisively at the highest.
 
-Everything is deterministic (keyed RNG end to end), so the row contents
-are reproducible bit-for-bit; the committed throughput baseline lives in
-``benchmarks/baselines/BENCH_e21_serve.json`` and is gated by
-``benchmarks/perf_gate.py --check --experiment e21`` in CI.
+A second table gives E21 an n-axis: the wall time of one repair epoch
+(churn 16) on an alpha=2 graph at n = 10^3, 10^4 and 10^5.  Epochs cost
+O(damage) — an undo-log hash update, a local MIS certificate, and one
+C-level copy of the MIS set — so the epoch wall stays nearly flat while
+n grows 100x (a full-graph pass would grow it 100x).
+
+Everything is deterministic (keyed RNG end to end), so the round and
+|MIS| contents are reproducible bit-for-bit; the committed throughput
+baseline lives in ``benchmarks/baselines/BENCH_e21_serve.json`` and is
+gated by ``benchmarks/perf_gate.py --check --experiment e21`` in CI.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from _common import emit
+from perf_gate import serve_epoch_walls
 from repro.mis.validation import assert_valid_mis
 from repro.serve.incremental import GraphSession, Mutation
 from repro.serve.loadgen import LoadGenConfig, initial_edges, mutation_batches
@@ -115,3 +123,39 @@ def test_e21_repair_cost_tracks_churn_not_graph_size():
             for batch in mutation_batches(config)
         )
     assert totals[2 * NODES] < 2 * totals[NODES], totals
+
+
+SIZES = [1_000, 10_000, 100_000]
+EPOCH_CHURN = 16
+
+
+def test_e21_epoch_wall_flat_in_n():
+    """Repair-epoch wall time must not track n: 100x the graph may cost
+    a few C-level set copies more, never a Python pass over the graph."""
+    rows = []
+    walls = {}
+    for n in SIZES:
+        seconds, rounds, mis_size = serve_epoch_walls(
+            n, EPOCH_CHURN, EPOCHS, SEED
+        )
+        walls[n] = statistics.median(seconds)
+        rows.append(
+            {
+                "n": n,
+                "churn": EPOCH_CHURN,
+                "epochs": EPOCHS,
+                "rounds": rounds,
+                "|MIS|": mis_size,
+                "epoch ms p50": round(walls[n] * 1e3, 3),
+                "epoch ms max": round(max(seconds) * 1e3, 3),
+            }
+        )
+    emit(
+        "e21_epoch_wall",
+        rows,
+        f"E21: repair-epoch wall time vs n (alpha=2 graph, churn "
+        f"{EPOCH_CHURN}, {EPOCHS} epochs, seed={SEED})",
+    )
+    # An O(n) epoch would grow ~100x from n=10^3 to 10^5; the one MIS
+    # copy left grows it well under 25x.
+    assert walls[SIZES[-1]] < 25 * walls[SIZES[0]], walls

@@ -21,12 +21,26 @@ __all__ = [
 ]
 
 
-def violating_edge(graph: nx.Graph, candidate: AbstractSet[int]):
-    """Return an edge with both endpoints in ``candidate``, or None."""
-    for v in candidate:
-        for u in graph.neighbors(v):
-            if u in candidate and u > v:
-                return (v, u)
+def violating_edge(
+    graph: nx.Graph, candidate: AbstractSet[int], restrict_to: Optional[Iterable[int]] = None
+):
+    """Return an edge with both endpoints in ``candidate``, or None.
+
+    With ``restrict_to``, only edges at a member inside that node subset
+    are inspected (the independence half of a local certificate).
+    """
+    if restrict_to is None:
+        # Every edge is seen from both ends, so one orientation suffices.
+        for v in candidate:
+            for u in graph.neighbors(v):
+                if u in candidate and u > v:
+                    return (v, u)
+        return None
+    for v in restrict_to:
+        if v in candidate:
+            for u in graph.neighbors(v):
+                if u in candidate:
+                    return (min(u, v), max(u, v))
     return None
 
 
@@ -65,14 +79,29 @@ def is_maximal_independent_set(
     )
 
 
-def assert_valid_mis(graph: nx.Graph, candidate: AbstractSet[int]) -> None:
-    """Raise a precise error if ``candidate`` is not an MIS of ``graph``."""
-    edge = violating_edge(graph, candidate)
+def assert_valid_mis(
+    graph: nx.Graph,
+    candidate: AbstractSet[int],
+    nodes: Optional[Iterable[int]] = None,
+) -> None:
+    """Raise a precise error if ``candidate`` is not an MIS of ``graph``.
+
+    With ``nodes``, only that node subset is certified: every member in
+    it has no member neighbour, and every non-member in it has a member
+    neighbour.  That *local certificate* is complete when ``candidate``
+    was a valid MIS before a change and ``nodes`` covers every node whose
+    membership, adjacency or domination the change touched — the serving
+    layer's repair epochs rely on exactly that (docs/serving.md).  Errors
+    are the same either way.
+    """
+    if nodes is not None:
+        nodes = list(nodes)
+    edge = violating_edge(graph, candidate, nodes)
     if edge is not None:
         raise NotAnIndependentSetError(
             f"nodes {edge[0]} and {edge[1]} are adjacent but both selected"
         )
-    witness = unDominated_node(graph, candidate)
+    witness = unDominated_node(graph, candidate, nodes)
     if witness is not None:
         raise NotMaximalError(
             f"node {witness} is neither in the set nor adjacent to it"

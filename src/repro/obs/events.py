@@ -56,6 +56,7 @@ __all__ = [
     "EVENT_SERVE_EPOCH",
     "EVENT_SERVE_RETRY",
     "EVENT_SERVE_SHED",
+    "EVENT_SERVE_AUDIT",
 ]
 
 #: Bumped whenever the reserved keys or the meaning of a kind changes.
@@ -88,6 +89,7 @@ EVENT_SERVE_REQUEST = "serve-request"  # one completed service request: op, stat
 EVENT_SERVE_EPOCH = "serve-epoch"  # one committed epoch: mode=repair|recompute, rounds, mutations
 EVENT_SERVE_RETRY = "serve-retry"  # epoch retried after an engine failure
 EVENT_SERVE_SHED = "serve-shed"  # request shed with an explicit response (ladder bottom)
+EVENT_SERVE_AUDIT = "serve-audit"  # periodic full-graph audit of a repair epoch: ok=true|false
 
 #: Keys whose values come from a wall clock.  ``repro obs diff`` (and the
 #: determinism acceptance test) compare streams with these removed.

@@ -223,6 +223,14 @@ def summary_to_prometheus(
             summary.serve_shed,
             base,
         )
+        _metric(
+            lines,
+            f"{_PREFIX}_serve_audit_failures_total",
+            "Full-graph serve audits that found an invalid committed MIS.",
+            "counter",
+            summary.serve_audit_failures,
+            base,
+        )
     if summary.phase_seconds:
         name = f"{_PREFIX}_phase_seconds_total"
         lines.append(f"# HELP {name} Wall-clock seconds per pipeline phase.")

@@ -28,6 +28,7 @@ from repro.obs.events import (
     EVENT_ROUND,
     EVENT_RUN_END,
     EVENT_RUN_START,
+    EVENT_SERVE_AUDIT,
     EVENT_SERVE_EPOCH,
     EVENT_SERVE_REQUEST,
     EVENT_SERVE_RETRY,
@@ -89,7 +90,8 @@ class ObsSummary:
     span_counts: Dict[str, int] = field(default_factory=dict)
     #: Serving-layer aggregates from ``serve-*`` events: completed
     #: requests by final status, epochs by mode (repair vs recompute)
-    #: with their CONGEST-round costs, retries, and explicit sheds.
+    #: with their CONGEST-round costs, retries, explicit sheds, and the
+    #: periodic full-graph audits with how many of them failed.
     serve_requests: int = 0
     serve_status_counts: Dict[str, int] = field(default_factory=dict)
     serve_epochs: Dict[str, int] = field(default_factory=dict)
@@ -97,6 +99,8 @@ class ObsSummary:
     serve_mutations: int = 0
     serve_retries: int = 0
     serve_shed: int = 0
+    serve_audits: int = 0
+    serve_audit_failures: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "ObsSummary") -> None:
@@ -142,6 +146,8 @@ class ObsSummary:
         self.serve_mutations += other.serve_mutations
         self.serve_retries += other.serve_retries
         self.serve_shed += other.serve_shed
+        self.serve_audits += other.serve_audits
+        self.serve_audit_failures += other.serve_audit_failures
         for kind, count in other.by_kind.items():
             self.by_kind[kind] = self.by_kind.get(kind, 0) + count
 
@@ -174,6 +180,8 @@ class ObsSummary:
             "serve_mutations": self.serve_mutations,
             "serve_retries": self.serve_retries,
             "serve_shed": self.serve_shed,
+            "serve_audits": self.serve_audits,
+            "serve_audit_failures": self.serve_audit_failures,
             "by_kind": dict(sorted(self.by_kind.items())),
         }
 
@@ -236,7 +244,9 @@ class ObsSummary:
             lines.append(
                 f"serve epochs:  {detail or 'none'}, "
                 f"{self.serve_mutations} mutations, "
-                f"{self.serve_retries} retries, {self.serve_shed} shed"
+                f"{self.serve_retries} retries, {self.serve_shed} shed, "
+                f"{self.serve_audits} audits "
+                f"({self.serve_audit_failures} failed)"
             )
         if self.phase_seconds:
             lines.append("phase wall time:")
@@ -355,6 +365,9 @@ def summarize_events(records: Iterable[Dict[str, Any]]) -> ObsSummary:
             summary.serve_retries += 1
         elif kind == EVENT_SERVE_SHED:
             summary.serve_shed += 1
+        elif kind == EVENT_SERVE_AUDIT:
+            summary.serve_audits += 1
+            summary.serve_audit_failures += not record.get("ok", False)
         elif kind == EVENT_FAULT:
             fine_faults += 1
             name = record.get("fault", "?")

@@ -79,6 +79,10 @@ __all__ = [
     "SPAN_SERVE_EPOCH",
     "SPAN_SERVE_REPAIR",
     "SPAN_SERVE_RECOMPUTE",
+    "SPAN_SERVE_APPLY",
+    "SPAN_SERVE_FINGERPRINT",
+    "SPAN_SERVE_VALIDATE",
+    "SPAN_SERVE_AUDIT",
 ]
 
 # -- span-name taxonomy (closed set; lint rule S5 checks call sites) ----------
@@ -102,6 +106,10 @@ SPAN_SERVE_REQUEST = "serve:request"  # one service request end to end
 SPAN_SERVE_EPOCH = "serve:epoch"  # one coalesced mutation epoch (queue to commit)
 SPAN_SERVE_REPAIR = "serve:repair"  # incremental update-repair pass
 SPAN_SERVE_RECOMPUTE = "serve:recompute"  # full-recompute fallback
+SPAN_SERVE_APPLY = "serve:apply"  # mutation batch applied to the graph (undo-logged)
+SPAN_SERVE_FINGERPRINT = "serve:fingerprint"  # content-hash update from the undo log
+SPAN_SERVE_VALIDATE = "serve:validate"  # local certificate (repair) / full check (recompute)
+SPAN_SERVE_AUDIT = "serve:audit"  # periodic full-graph audit of a repair epoch
 
 #: Every declared span name; ``repro obs top`` groups by these and lint
 #: rule S5 rejects names outside this set.
@@ -126,6 +134,10 @@ SPAN_NAMES = frozenset(
         SPAN_SERVE_EPOCH,
         SPAN_SERVE_REPAIR,
         SPAN_SERVE_RECOMPUTE,
+        SPAN_SERVE_APPLY,
+        SPAN_SERVE_FINGERPRINT,
+        SPAN_SERVE_VALIDATE,
+        SPAN_SERVE_AUDIT,
     }
 )
 

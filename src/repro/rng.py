@@ -18,12 +18,14 @@ agree on every draw regardless of the order in which they evaluate nodes.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "derive_seed",
+    "derive_seed_array",
+    "ring_array",
     "node_round_rng",
     "priority_draw",
     "priority_array",
@@ -105,37 +107,51 @@ def bernoulli_draw(p: float, seed: int, node: int, round_index: int, tag: int = 
     return uniform_draw(seed, node, round_index, tag) < p
 
 
+def ring_array(ids: Sequence[int]) -> "np.ndarray":
+    """Integer ids folded into the 64-bit ring (``v & MASK``) as uint64.
+
+    The fold :func:`derive_seed` applies to every key, done in bulk:
+    int64 input reinterprets negative ids as their two's complement, and
+    ids at or beyond 2⁶³ (which int64 cannot hold) take a per-element
+    path, so every id folds exactly as the scalar chain folds it.
+    """
+    try:
+        return np.array(ids, dtype=np.int64).reshape(-1).view(np.uint64)
+    except OverflowError:
+        return np.fromiter(
+            (int(v) & _MASK for v in ids), dtype=np.uint64, count=len(ids)
+        )
+
+
+def derive_seed_array(*keys) -> "np.ndarray":
+    """Vectorized :func:`derive_seed`: each key is an int or a uint64 array.
+
+    Replicates the exact splitmix64 chain with numpy uint64 arithmetic
+    (which wraps mod 2^64 natively); scalar keys broadcast against the
+    array keys, so ``derive_seed_array(a, ring_array([v]), c)[0] ==
+    derive_seed(a, v, c)`` bit for bit.
+    """
+    mix1, mix2, mix3 = np.uint64(_MIX_1), np.uint64(_MIX_2), np.uint64(_MIX_3)
+    state = np.uint64(0x8E51_2FB9_C3A4_D901)
+    with np.errstate(over="ignore"):
+        for key in keys:
+            if not isinstance(key, np.ndarray):
+                key = np.uint64(key & _MASK)
+            x = (state ^ key) + mix1
+            x = (x ^ (x >> np.uint64(30))) * mix2
+            x = (x ^ (x >> np.uint64(27))) * mix3
+            state = x ^ (x >> np.uint64(31))
+    return state
+
+
 def priority_array(seed: int, nodes: "np.ndarray", round_index: int, tag: int = 0) -> "np.ndarray":
     """Vectorized :func:`priority_draw` over an array of node ids.
 
-    Replicates the exact splitmix64 chain of :func:`derive_seed` with
-    numpy uint64 arithmetic (which wraps mod 2^64 natively), so
     ``priority_array(s, np.array([v]), t, g)[0] == priority_draw(s, v, t, g)``
     bit for bit — the property that lets the bulk engines
     (:mod:`repro.mis.bulk`) stand in for the scalar fast engines.
     """
-    mask = np.uint64(_MASK)
-    mix1, mix2, mix3 = np.uint64(_MIX_1), np.uint64(_MIX_2), np.uint64(_MIX_3)
-
-    def mix(x: "np.ndarray") -> "np.ndarray":
-        x = x + mix1
-        x = (x ^ (x >> np.uint64(30))) * mix2
-        x = (x ^ (x >> np.uint64(27))) * mix3
-        return x ^ (x >> np.uint64(31))
-
-    state = np.full(
-        len(nodes), 0x8E51_2FB9_C3A4_D901, dtype=np.uint64
-    )
-    keys = (
-        np.full(len(nodes), seed & _MASK, dtype=np.uint64),
-        nodes.astype(np.uint64),
-        np.full(len(nodes), round_index & _MASK, dtype=np.uint64),
-        np.full(len(nodes), tag & _MASK, dtype=np.uint64),
-    )
-    with np.errstate(over="ignore"):
-        for key in keys:
-            state = mix(state ^ key)
-    return state
+    return derive_seed_array(seed, nodes.astype(np.uint64), round_index, tag)
 
 
 def priority_vector(seed: int, nodes: Iterable[int], round_index: int, tag: int = 0) -> dict:
@@ -152,8 +168,5 @@ def priority_vector(seed: int, nodes: Iterable[int], round_index: int, tag: int 
     node_list = list(nodes)
     if not node_list:
         return {}
-    keys = np.fromiter(
-        ((int(v) & _MASK) for v in node_list), dtype=np.uint64, count=len(node_list)
-    )
-    values = priority_array(seed, keys, round_index, tag)
+    values = priority_array(seed, ring_array(node_list), round_index, tag)
     return {v: int(p) for v, p in zip(node_list, values)}

@@ -29,16 +29,30 @@ MIS and same-seed obs-stream identity on top of this.
 :class:`GraphSession` owns one named dynamic graph and implements the
 compute half of the degradation ladder: incremental repair, with
 automatic fallback to **full recompute** when the repair budget (damage
-fraction or competition iterations) is exceeded, and
-``assert_valid_mis`` validation after *every* epoch.
+fraction or competition iterations) is exceeded.  A committed repair
+epoch costs O(damage), not O(n): the content hash is updated from the
+epoch's undo log, the MIS is checked by a *local certificate* over the
+touched nodes, and a full-graph audit runs every ``audit_every``-th
+epoch as a backstop.  Readers see only immutable
+:class:`CommittedSnapshot` values, swapped in whole at commit.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -50,17 +64,28 @@ from repro.mis.engine import (
     eliminate_winners,
 )
 from repro.mis.validation import assert_valid_mis
-from repro.obs.trace import SPAN_SERVE_RECOMPUTE, SPAN_SERVE_REPAIR
-from repro.rng import derive_seed, priority_draw
+from repro.obs.trace import (
+    SPAN_SERVE_APPLY,
+    SPAN_SERVE_AUDIT,
+    SPAN_SERVE_FINGERPRINT,
+    SPAN_SERVE_RECOMPUTE,
+    SPAN_SERVE_REPAIR,
+    SPAN_SERVE_VALIDATE,
+)
+from repro.rng import derive_seed, derive_seed_array, priority_draw, ring_array
 from repro.serve.errors import BadRequestError
 
 __all__ = [
     "Mutation",
     "UpdateRepairReport",
     "EpochReport",
+    "CommittedSnapshot",
+    "CACHE_KEY_FIELDS",
+    "snapshot_key",
     "GraphSession",
     "RepairBudgetExceeded",
     "ComputeAborted",
+    "AuditFailure",
     "apply_mutations",
     "rollback_mutations",
     "update_repair",
@@ -73,6 +98,13 @@ __all__ = [
 #: replays another stage's coins.
 _UPDATE_TAG = 53
 
+#: Domain tags of the content hash: ``H(NODE_TAG, v)`` and
+#: ``H(EDGE_TAG, u, v)`` can never collide by construction.
+NODE_TAG = 79
+EDGE_TAG = 83
+
+_MASK = (1 << 64) - 1
+
 MUTATION_OPS = ("add-node", "remove-node", "add-edge", "remove-edge")
 
 
@@ -81,6 +113,16 @@ class RepairBudgetExceeded(ReproError):
 
     Callers (the session's epoch loop) catch this and fall back to a
     full recompute — it never escapes the serving layer.
+    """
+
+
+class AuditFailure(ReproError):
+    """The periodic full-graph audit found an invalid committed MIS.
+
+    The local certificate passed, so the damage predates this epoch or
+    lies outside what the certificate inspects.  It is an engine
+    failure: the epoch rolls back and the service counts it — never a
+    silent fix.
     """
 
 
@@ -137,18 +179,111 @@ class Mutation:
         return out
 
 
-def graph_fingerprint(graph: nx.Graph) -> str:
+#: Below this many elements the scalar hash beats numpy's per-call
+#: overhead (an epoch's undo log); above it the vectorized path wins
+#: (bootstrap, the from-scratch reference).
+_SCALAR_HASH_MAX = 64
+
+
+def _content_hash(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> int:
+    """``Σ H(NODE_TAG, v) + Σ H(EDGE_TAG, u, v) mod 2⁶⁴`` over the elements.
+
+    ``H`` is the :func:`~repro.rng.derive_seed` splitmix chain; ids are
+    folded into the 64-bit ring first and each edge is keyed smaller
+    endpoint first, so the sum is order-free.  The scalar and numpy
+    paths compute the same value (a property test pins it on ids that
+    are negative or at least 2⁶³).
+    """
+    if len(nodes) + len(edges) <= _SCALAR_HASH_MAX:
+        return _content_hash_scalar(nodes, edges)
+    return _content_hash_numpy(nodes, edges)
+
+
+def _content_hash_scalar(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> int:
+    total = sum(derive_seed(NODE_TAG, v) for v in nodes)
+    for u, v in edges:
+        u, v = u & _MASK, v & _MASK
+        total += derive_seed(EDGE_TAG, min(u, v), max(u, v))
+    return total & _MASK
+
+
+def _content_hash_numpy(nodes: Sequence[int], edges: Sequence[Tuple[int, int]]) -> int:
+    total = 0
+    if nodes:
+        total += int(derive_seed_array(NODE_TAG, ring_array(nodes)).sum())
+    if edges:
+        ends = ring_array(list(itertools.chain.from_iterable(edges))).reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        total += int(derive_seed_array(EDGE_TAG, lo, hi).sum())
+    return total & _MASK
+
+
+def graph_fingerprint(
+    graph: nx.Graph,
+    previous: Optional[str] = None,
+    undo: Sequence[Tuple] = (),
+) -> str:
     """Content hash of a graph: the cache key's graph component.
 
-    Hashes the sorted node and edge lists, so isomorphic-but-relabeled
-    graphs differ and mutation no-ops leave the fingerprint unchanged.
+    A commutative multiset hash, ``Σ_v H(NODE_TAG, v) + Σ_{u<v}
+    H(EDGE_TAG, u, v) mod 2⁶⁴`` as 16 hex characters, where ``H`` is
+    the keyed splitmix chain of :func:`repro.rng.derive_seed`.  Node
+    labels matter (relabeled isomorphic graphs differ) and mutation
+    no-ops leave it unchanged.
+
+    Without ``previous`` the hash is computed from scratch over the
+    whole graph: the reference.  Because it is a sum, it can also be
+    moved along with the graph: given ``previous``, the fingerprint of
+    ``graph`` before the changes the :func:`apply_mutations` undo log
+    ``undo`` records, it is updated from the log alone in O(len(undo)).
+    Every record is an *effective* change, so adding ``H`` of what the
+    changes created and subtracting ``H`` of what they deleted gives
+    exactly the from-scratch value — the per-epoch update a session
+    makes.
     """
-    digest = hashlib.sha256()
-    for v in sorted(graph.nodes):
-        digest.update(b"n%d;" % v)
-    for u, v in sorted(tuple(sorted(e)) for e in graph.edges):
-        digest.update(b"e%d-%d;" % (u, v))
-    return digest.hexdigest()[:16]
+    if previous is None:
+        return f"{_content_hash(list(graph.nodes), list(graph.edges)):016x}"
+    born_nodes: List[int] = []
+    dead_nodes: List[int] = []
+    born_edges: List[Tuple[int, int]] = []
+    dead_edges: List[Tuple[int, int]] = []
+    for kind, u, v, extra in undo:
+        if kind == "del-node":
+            born_nodes.append(u)
+        elif kind == "restore-node":
+            dead_nodes.append(u)
+            dead_edges.extend(extra)
+        elif kind == "del-edge":
+            born_edges.append((u, v))
+            born_nodes.extend(extra)
+        else:  # restore-edge
+            dead_edges.append((u, v))
+    digest = (
+        int(previous, 16)
+        + _content_hash(born_nodes, born_edges)
+        - _content_hash(dead_nodes, dead_edges)
+    )
+    return f"{digest & _MASK:016x}"
+
+
+def _undo_effects(graph: nx.Graph, undo: Sequence[Tuple]) -> Tuple[List[int], int]:
+    """(nodes the logged changes deleted for good, edge-count change).
+
+    Keeps a session's edge count without ``graph.number_of_edges()``,
+    which is a pass over every node.
+    """
+    departed: List[int] = []
+    edges = 0
+    for kind, u, _, extra in undo:
+        if kind == "restore-node":
+            edges -= len(extra)
+            if u not in graph:
+                departed.append(u)
+        elif kind == "del-edge":
+            edges += 1
+        elif kind == "restore-edge":
+            edges -= 1
+    return departed, edges
 
 
 def apply_mutations(
@@ -233,34 +368,48 @@ class UpdateRepairReport:
     repair_rounds: int
     iterations: int
     damaged: int
+    #: ``C = damaged ∪ evicted ∪ added ∪ N(evicted)``: every node whose
+    #: adjacency, membership or dominator the epoch could have changed.
+    #: A new member–member edge has a damaged or added endpoint, and a
+    #: node that lost its dominator is damaged (edge or dominator
+    #: deleted), evicted, or next to an evicted member — so if the MIS
+    #: was valid before, ``assert_valid_mis(graph, mis, nodes=C)``
+    #: certifies all of it (the *local certificate*).
+    certificate: frozenset = frozenset()
 
 
 def update_repair(
     graph: nx.Graph,
-    mis: Set[int],
+    mis: AbstractSet[int],
     damaged: Set[int],
     seed: int,
     epoch: int,
     max_iterations: int = 10_000,
     should_abort: Optional[Callable[[], bool]] = None,
+    *,
+    departed: Iterable[int],
 ) -> UpdateRepairReport:
     """Repair ``mis`` after mutations that damaged ``damaged`` nodes.
 
     Generalizes :func:`repro.core.repair.repair` from crash faults to
     update faults: only the damaged neighborhood is inspected, so the
-    cost scales with the churn, not the graph.  Raises
+    cost scales with the churn, not the graph.  ``departed`` lists the
+    members of ``mis`` the mutations deleted from ``graph`` (the session
+    reads them off the epoch's undo log); every other member must still
+    be in ``graph``.  ``mis`` is never scanned, only copied once into
+    the result.  Raises
     :class:`RepairBudgetExceeded` when the competition would exceed
     ``max_iterations`` and :class:`ComputeAborted` when ``should_abort``
     fires between iterations (cooperative cancellation).
     """
     epoch_seed = derive_seed(seed, epoch)
-    members = {v for v in mis if graph.has_node(v)}
+    departed = set(departed).intersection(mis)
 
     # Empty damage: the old MIS survives verbatim, zero rounds.  (The
     # same early-return contract the crash repair now honors.)
     if not damaged:
         return UpdateRepairReport(
-            mis=frozenset(members),
+            mis=frozenset(mis).difference(departed),
             evicted=frozenset(),
             added=frozenset(),
             repair_rounds=0,
@@ -275,9 +424,9 @@ def update_repair(
     # adjacent, and both its endpoints are damaged, so scanning damaged
     # members finds every conflict.  The lower keyed priority withdraws.
     violating: List[Tuple[int, int]] = []
-    for v in sorted(members & damaged):
+    for v in sorted(damaged.intersection(mis)):
         for u in graph.neighbors(v):
-            if u in members and (u > v or u not in damaged):
+            if u in mis and (u > v or u not in damaged):
                 violating.append((v, u))
     evicted: Set[int] = set()
     if violating:
@@ -288,18 +437,23 @@ def update_repair(
         }
         for u, v in violating:
             evicted.add(u if priority[u] < priority[v] else v)
-        members -= evicted
+
+    # The surviving members are ``mis - evicted``; membership is tested
+    # against ``mis`` rather than a copy of it, so only the final
+    # result below costs O(|mis|).
+    def member(u: int) -> bool:
+        return u in mis and u not in evicted
 
     # Undominated region: domination can only have changed for damaged
     # nodes and the neighbors of evicted members.
     candidates = set(damaged)
     for v in evicted:
         candidates.update(graph.neighbors(v))
-    candidates -= members
+    certificate = frozenset(candidates | evicted)  # added ⊆ candidates
     uncovered = {
         v
         for v in candidates
-        if not any(u in members for u in graph.neighbors(v))
+        if not member(v) and not any(member(u) for u in graph.neighbors(v))
     }
 
     # Restricted Métivier competition over the uncovered region.  This
@@ -329,14 +483,21 @@ def update_repair(
         eliminate_winners(active, adjacency, winners)
         iteration += 1
 
+    # departed and evicted are disjoint subsets of mis, and added is
+    # disjoint from ``mis - evicted``, so the new MIS is one symmetric
+    # difference: a single C-level copy of the old set.
+    changed = departed | (evicted ^ added)
     return UpdateRepairReport(
-        mis=frozenset(members | added),
+        mis=frozenset(mis).symmetric_difference(changed)
+        if changed
+        else frozenset(mis),
         evicted=frozenset(evicted),
         added=frozenset(added),
         repair_rounds=(1 if violating else 0)
         + ROUNDS_PER_ITERATION * iteration,
         iterations=iteration,
         damaged=len(damaged),
+        certificate=certificate,
     )
 
 
@@ -356,6 +517,72 @@ class EpochReport:
     added: int
     mis_size: int
     fingerprint: str
+    #: Whether this epoch also passed the periodic full-graph audit.
+    audited: bool = False
+
+
+#: The snapshot fields that make up a result-cache key, in key order.
+CACHE_KEY_FIELDS = ("session", "epoch", "fingerprint", "seed", "algorithm", "engine")
+
+
+def snapshot_key(body: Dict) -> Tuple[str, int, str, int, str, str]:
+    """The result-cache key of a snapshot body (see :meth:`GraphSession.cache_key`).
+
+    Taken from the body itself, so a cached entry's key and content
+    always describe the same committed epoch.
+    """
+    return tuple(body[name] for name in CACHE_KEY_FIELDS)
+
+
+@dataclass(frozen=True)
+class CommittedSnapshot:
+    """One committed ``(graph, MIS)`` state of a session, never mutated.
+
+    The session builds one at the end of every committed epoch and
+    publishes it with a single attribute assignment, so a reader on
+    another thread sees either the previous epoch or this one whole —
+    never a graph the executor is half-way through mutating.  Building
+    it is O(1): node/edge counts and the content hash are maintained
+    incrementally, and ``mis`` is the epoch's own frozenset.
+    """
+
+    session: str
+    epoch: int
+    fingerprint: str
+    seed: int
+    algorithm: str
+    engine: str
+    nodes: int
+    edges: int
+    mis: frozenset
+    repairs: int
+    recomputes: int
+    repair_rounds: int
+    recompute_rounds: int
+
+    @property
+    def key(self) -> Tuple[str, int, str, int, str, str]:
+        """The result-cache key (see :meth:`GraphSession.cache_key`)."""
+        return tuple(getattr(self, name) for name in CACHE_KEY_FIELDS)
+
+    def body(self) -> Dict:
+        """The query response body: MIS + session metadata."""
+        return {
+            "session": self.session,
+            "epoch": self.epoch,
+            "fingerprint": self.fingerprint,
+            "algorithm": self.algorithm,
+            "engine": self.engine,
+            "seed": self.seed,
+            "nodes": self.nodes,
+            "edges": self.edges,
+            "mis": sorted(self.mis),
+            "mis_size": len(self.mis),
+            "repairs": self.repairs,
+            "recomputes": self.recomputes,
+            "repair_rounds": self.repair_rounds,
+            "recompute_rounds": self.recompute_rounds,
+        }
 
 
 class GraphSession:
@@ -366,7 +593,11 @@ class GraphSession:
     recompute half of the degradation ladder.  It is synchronous and
     single-writer — the asyncio service serializes epochs per session
     (coalescing concurrent mutations into one epoch) and runs them on an
-    executor.
+    executor.  Readers on other threads use only :attr:`committed`.
+
+    ``audit_every`` sets the full-graph audit period: every
+    ``audit_every``-th committed repair epoch re-validates the whole
+    graph on top of the local certificate.
     """
 
     def __init__(
@@ -378,7 +609,10 @@ class GraphSession:
         graph: Optional[nx.Graph] = None,
         repair_iteration_budget: int = 10_000,
         repair_damage_cap: float = 1.0,
+        audit_every: int = 64,
     ):
+        if audit_every < 1:
+            raise ValueError(f"audit_every must be >= 1, got {audit_every}")
         self.name = name
         self.seed = seed
         self.algorithm = algorithm
@@ -390,23 +624,27 @@ class GraphSession:
         self.tracer = None
         self.repair_iteration_budget = repair_iteration_budget
         self.repair_damage_cap = repair_damage_cap
+        self.audit_every = audit_every
         self.mis: frozenset = frozenset()
         self.total_repair_rounds = 0
         self.total_recompute_rounds = 0
         self.repairs = 0
         self.recomputes = 0
-        self._fingerprint: Optional[str] = None
         if self.graph.number_of_nodes():
             self._recompute(should_abort=None)
+            # Bootstrap keeps full validation: local certificates assume
+            # a valid predecessor, and this state is every epoch's root.
+            assert_valid_mis(self.graph, self.mis)
+        self.committed = self._freeze(
+            graph_fingerprint(self.graph), self.graph.number_of_edges()
+        )
 
     # -- identity -------------------------------------------------------------
 
     @property
     def fingerprint(self) -> str:
-        """Current graph content hash (cached until the next mutation)."""
-        if self._fingerprint is None:
-            self._fingerprint = graph_fingerprint(self.graph)
-        return self._fingerprint
+        """Content hash of the committed graph."""
+        return self.committed.fingerprint
 
     def cache_key(self) -> Tuple[str, int, str, int, str, str]:
         """The result-cache key, scoped to one committed snapshot.
@@ -419,14 +657,26 @@ class GraphSession:
         break same-seed determinism.  The determinism tuple
         ``(fingerprint, seed, algorithm, engine)`` rides along so a key
         can never alias two different graph contents or configurations.
+        It is read from :attr:`committed`, so it never reflects an epoch
+        still in flight.
         """
-        return (
-            self.name,
-            self.epoch,
-            self.fingerprint,
-            self.seed,
-            self.algorithm,
-            self.engine or "scalar",
+        return self.committed.key
+
+    def _freeze(self, fingerprint: str, edges: int) -> CommittedSnapshot:
+        return CommittedSnapshot(
+            session=self.name,
+            epoch=self.epoch,
+            fingerprint=fingerprint,
+            seed=self.seed,
+            algorithm=self.algorithm,
+            engine=self.engine or "scalar",
+            nodes=self.graph.number_of_nodes(),
+            edges=edges,
+            mis=self.mis,
+            repairs=self.repairs,
+            recomputes=self.recomputes,
+            repair_rounds=self.total_repair_rounds,
+            recompute_rounds=self.total_recompute_rounds,
         )
 
     # -- compute --------------------------------------------------------------
@@ -462,17 +712,27 @@ class GraphSession:
 
         Attempts incremental repair first; falls back to full recompute
         when the damage fraction or the competition-iteration budget is
-        exceeded.  The resulting MIS is validated with
-        ``assert_valid_mis`` before the epoch commits — a serving layer
-        must never cache or return an invalid set.
+        exceeded.  The resulting MIS is validated before the epoch
+        commits — a serving layer must never cache or return an invalid
+        set.  A repair epoch is checked by the local certificate over
+        ``damaged ∪ evicted ∪ added ∪ N(evicted)``, which is complete
+        because the previous committed state was valid; a recompute
+        epoch is checked in full, and so is every ``audit_every``-th
+        committed epoch (a failure there raises :class:`AuditFailure`).
         """
+        prev = self.committed
         undo: List[Tuple] = []
-        prev_mis = self.mis
         mode = "repair"
         evicted = added = 0
+        audited = False
         try:
-            damaged = apply_mutations(self.graph, mutations, undo=undo)
-            self._fingerprint = None
+            with self._span(SPAN_SERVE_APPLY):
+                damaged = apply_mutations(self.graph, mutations, undo=undo)
+                departed, edge_delta = _undo_effects(self.graph, undo)
+            with self._span(SPAN_SERVE_FINGERPRINT):
+                fingerprint = graph_fingerprint(
+                    self.graph, previous=prev.fingerprint, undo=undo
+                )
             n = self.graph.number_of_nodes()
             try:
                 if damaged and n and len(damaged) > self.repair_damage_cap * n:
@@ -483,31 +743,46 @@ class GraphSession:
                 with self._span(SPAN_SERVE_REPAIR):
                     report = update_repair(
                         self.graph,
-                        set(self.mis),
+                        self.mis,
                         damaged,
                         seed=self.seed,
                         epoch=self.epoch,
                         max_iterations=self.repair_iteration_budget,
                         should_abort=should_abort,
+                        departed=departed,
                     )
                 self.mis = report.mis
                 rounds = report.repair_rounds
                 evicted, added = len(report.evicted), len(report.added)
+                certificate: Optional[frozenset] = report.certificate
             except RepairBudgetExceeded:
                 mode = "recompute"
+                certificate = None
                 with self._span(SPAN_SERVE_RECOMPUTE):
                     rounds = self._recompute(should_abort)
-            assert_valid_mis(self.graph, set(self.mis))
+            with self._span(SPAN_SERVE_VALIDATE):
+                assert_valid_mis(self.graph, self.mis, certificate)
+            if certificate is not None and (self.epoch + 1) % self.audit_every == 0:
+                audited = True
+                with self._span(SPAN_SERVE_AUDIT):
+                    try:
+                        assert_valid_mis(self.graph, self.mis)
+                    except ReproError as exc:
+                        raise AuditFailure(
+                            f"session {self.name!r} epoch {self.epoch + 1}: "
+                            f"full-graph audit failed after the local "
+                            f"certificate passed: {exc}"
+                        ) from exc
         except BaseException:
             # Transactional epochs: any failure — a bad mutation raised
             # mid-application, an aborted or failed compute, a validation
-            # error — rolls the mutations and the MIS back, so the
-            # session keeps a consistent (graph, mis, epoch) triple and a
-            # retry replays the exact same epoch (same coins, same
-            # damage).
+            # or audit error — rolls the mutations and the MIS back, so
+            # the session keeps a consistent (graph, mis, epoch) triple
+            # and a retry replays the exact same epoch (same coins, same
+            # damage).  The content hash needs no undo: the committed
+            # snapshot still holds the previous value.
             rollback_mutations(self.graph, undo)
-            self.mis = prev_mis
-            self._fingerprint = None
+            self.mis = prev.mis
             raise
 
         if mode == "repair":
@@ -517,6 +792,7 @@ class GraphSession:
             self.recomputes += 1
             self.total_recompute_rounds += rounds
         self.epoch += 1
+        self.committed = self._freeze(fingerprint, prev.edges + edge_delta)
         return EpochReport(
             epoch=self.epoch,
             mode=mode,
@@ -526,29 +802,15 @@ class GraphSession:
             evicted=evicted,
             added=added,
             mis_size=len(self.mis),
-            fingerprint=self.fingerprint,
+            fingerprint=self.committed.fingerprint,
+            audited=audited,
         )
 
     # -- queries --------------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        """The query response body: MIS + session metadata."""
-        return {
-            "session": self.name,
-            "epoch": self.epoch,
-            "fingerprint": self.fingerprint,
-            "algorithm": self.algorithm,
-            "engine": self.engine or "scalar",
-            "seed": self.seed,
-            "nodes": self.graph.number_of_nodes(),
-            "edges": self.graph.number_of_edges(),
-            "mis": sorted(self.mis),
-            "mis_size": len(self.mis),
-            "repairs": self.repairs,
-            "recomputes": self.recomputes,
-            "repair_rounds": self.total_repair_rounds,
-            "recompute_rounds": self.total_recompute_rounds,
-        }
+        """The query response body of the committed state."""
+        return self.committed.body()
 
 
 def mutations_from_records(records: Iterable[Dict]) -> List[Mutation]:

@@ -69,10 +69,12 @@ from repro.serve.errors import (
     wrap_engine_error,
 )
 from repro.serve.incremental import (
+    AuditFailure,
     ComputeAborted,
     EpochReport,
     GraphSession,
     Mutation,
+    snapshot_key,
 )
 
 __all__ = [
@@ -87,6 +89,7 @@ __all__ = [
 
 #: Obs event kinds emitted by the service (declared in repro.obs.events).
 from repro.obs.events import (  # noqa: E402
+    EVENT_SERVE_AUDIT,
     EVENT_SERVE_EPOCH,
     EVENT_SERVE_REQUEST,
     EVENT_SERVE_RETRY,
@@ -277,6 +280,7 @@ class ServeCounters:
     deadline_exceeded: int = 0
     retries: int = 0
     engine_failures: int = 0
+    audit_failures: int = 0
     epochs_repair: int = 0
     epochs_recompute: int = 0
     repair_rounds: int = 0
@@ -294,6 +298,7 @@ class ServeCounters:
             "deadline_exceeded": self.deadline_exceeded,
             "retries": self.retries,
             "engine_failures": self.engine_failures,
+            "audit_failures": self.audit_failures,
             "epochs_repair": self.epochs_repair,
             "epochs_recompute": self.epochs_recompute,
             "repair_rounds": self.repair_rounds,
@@ -522,7 +527,7 @@ class MISService:
                 self._epoch_worker(request.session, state)
             )
             snapshot = session.snapshot()
-            self.cache.put(session.cache_key(), snapshot)
+            self.cache.put(snapshot_key(snapshot), snapshot)
             return Response(ok=True, status="ok", served="fresh", result=snapshot)
         finally:
             self._inflight -= 1
@@ -573,7 +578,7 @@ class MISService:
             return Response(ok=True, status="ok", served="cache", result=cached)
 
         snapshot = state.session.snapshot()
-        self.cache.put(key, snapshot)
+        self.cache.put(snapshot_key(snapshot), snapshot)
         return Response(ok=True, status="ok", served="fresh", result=snapshot)
 
     # -- mutations ------------------------------------------------------------
@@ -695,7 +700,8 @@ class MISService:
 
         state.breaker.record_success()
         self._commit(state, report)
-        self.cache.put(state.session.cache_key(), state.session.snapshot())
+        snapshot = state.session.snapshot()
+        self.cache.put(snapshot_key(snapshot), snapshot)
         response = Response(
             ok=True,
             status="ok",
@@ -739,6 +745,13 @@ class MISService:
                 added=report.added,
                 mis_size=report.mis_size,
             )
+            if report.audited:
+                self.obs.emit(
+                    EVENT_SERVE_AUDIT,
+                    session=state.session.name,
+                    epoch=report.epoch,
+                    ok=True,
+                )
 
     # -- the engine boundary --------------------------------------------------
 
@@ -807,6 +820,15 @@ class MISService:
                 # so nothing non-cancellation escapes the boundary.
                 attempt += 1
                 self.counters.engine_failures += 1
+                if isinstance(exc, AuditFailure):
+                    self.counters.audit_failures += 1
+                    if self.obs is not None:
+                        self.obs.emit(
+                            EVENT_SERVE_AUDIT,
+                            session=session.name,
+                            epoch=session.epoch + 1,
+                            ok=False,
+                        )
                 if attempt > policy.retries:
                     raise wrap_engine_error(exc) from exc
                 self.counters.retries += 1
@@ -862,6 +884,7 @@ class MISService:
         metric("deadline_exceeded_total", "Requests that ran out of deadline.", "counter", c.deadline_exceeded)
         metric("retries_total", "Epoch retries after engine failures.", "counter", c.retries)
         metric("engine_failures_total", "Engine exceptions wrapped as typed failures.", "counter", c.engine_failures)
+        metric("audit_failures_total", "Full-graph audits that found an invalid committed MIS.", "counter", c.audit_failures)
         metric("epochs_repair_total", "Epochs committed via incremental repair.", "counter", c.epochs_repair)
         metric("epochs_recompute_total", "Epochs committed via full recompute.", "counter", c.epochs_recompute)
         metric("repair_rounds_total", "CONGEST rounds spent in incremental repair.", "counter", c.repair_rounds)

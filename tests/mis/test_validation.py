@@ -74,3 +74,30 @@ class TestAssertValidMis:
 
     def test_empty_graph(self):
         assert_valid_mis(nx.Graph(), set())
+
+
+class TestLocalCertificate:
+    """``assert_valid_mis(graph, candidate, nodes=...)`` checks a subset."""
+
+    def test_passes_on_valid_subset(self, path5):
+        assert_valid_mis(path5, {0, 2, 4}, nodes={1, 2})
+
+    def test_ignores_violations_outside_the_subset(self, path5):
+        # {0, 1} are adjacent members and 4 is undominated, but neither
+        # touches nodes 2-3, so the certificate over {2, 3} holds.
+        assert_valid_mis(path5, {0, 1, 3}, nodes={2, 3})
+
+    def test_dependence_seen_from_either_endpoint(self, path5):
+        # Only the *larger* endpoint is in the subset: the edge must
+        # still be found (the full check only walks u > v).
+        with pytest.raises(NotAnIndependentSetError, match="nodes 0 and 1"):
+            assert_valid_mis(path5, {0, 1, 3}, nodes={1})
+        assert violating_edge(path5, {0, 1}, restrict_to=[1]) == (0, 1)
+
+    def test_non_maximality_in_subset(self, path5):
+        with pytest.raises(NotMaximalError, match="node 4"):
+            assert_valid_mis(path5, {0, 2}, nodes={3, 4})
+
+    def test_subset_may_be_a_one_shot_iterable(self, path5):
+        with pytest.raises(NotMaximalError):
+            assert_valid_mis(path5, {0, 2}, nodes=iter([4]))

@@ -12,6 +12,7 @@ serving other sessions.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -709,6 +710,96 @@ class TestCommBudgetRegression:
                 seed=0,
                 budget=CommBudget(capacity=1, hard_capacity=1),
             )
+
+
+class TestAuditFailures:
+    def test_failed_audit_is_a_counted_engine_failure(self):
+        from repro.obs.exporter import summary_to_prometheus
+        from repro.obs.manifest import RunManifest
+        from repro.obs.session import ObsSession
+        from repro.obs.sinks import MemorySink
+        from repro.obs.summary import summarize_events
+
+        sink = MemorySink()
+        obs = ObsSession(
+            "unused", RunManifest(run_id="audit", kind="test", created_at="t"), sink
+        )
+
+        async def scenario():
+            service = MISService(ServeConfig(retries=0, backoff_base=0.0), obs=obs)
+            try:
+                await create_session(service)
+                session = service.sessions["s"].session
+                session.audit_every = 1
+                # Plant a corruption no local certificate near node 0
+                # can see: the committed MIS loses its member at the far
+                # end of the path.
+                far = max(session.mis)
+                bad = session.mis - {far}
+                session.mis = bad
+                session.committed = dataclasses.replace(session.committed, mis=bad)
+                response = await service.submit(
+                    Request(
+                        op="mutate",
+                        session="s",
+                        mutations=(Mutation("add-edge", 0, 2),),
+                    )
+                )
+                assert not response.ok
+                assert response.error["code"] == "engine-failed"
+                assert response.error["cause"] == "AuditFailure"
+                assert service.counters.audit_failures == 1
+                assert service.counters.engine_failures == 1
+                assert service.health()["counters"]["audit_failures"] == 1
+                assert "repro_serve_audit_failures_total 1" in service.prometheus()
+                # Never fixed silently: the epoch rolled back.
+                assert session.epoch == 1
+                assert not session.graph.has_edge(0, 2)
+            finally:
+                await service.close()
+
+        run(scenario())
+        events = [event.to_dict() for event in sink.events]
+        audits = [e for e in events if e["kind"] == "serve-audit"]
+        assert [a["ok"] for a in audits] == [False]
+        summary = summarize_events(events)
+        assert (summary.serve_audits, summary.serve_audit_failures) == (1, 1)
+        assert "1 audits (1 failed)" in summary.render()
+        assert "repro_serve_audit_failures_total 1" in summary_to_prometheus(summary)
+
+    def test_passing_audits_are_recorded(self):
+        from repro.obs.manifest import RunManifest
+        from repro.obs.session import ObsSession
+        from repro.obs.sinks import MemorySink
+        from repro.obs.summary import summarize_events
+
+        sink = MemorySink()
+        obs = ObsSession(
+            "unused", RunManifest(run_id="audit", kind="test", created_at="t"), sink
+        )
+
+        async def scenario():
+            service = MISService(ServeConfig(retries=0, backoff_base=0.0), obs=obs)
+            try:
+                await create_session(service)
+                service.sessions["s"].session.audit_every = 2
+                for u in range(4):
+                    response = await service.submit(
+                        Request(
+                            op="mutate",
+                            session="s",
+                            mutations=(Mutation("add-edge", u, u + 5),),
+                        )
+                    )
+                    assert response.ok
+                assert service.counters.audit_failures == 0
+            finally:
+                await service.close()
+
+        run(scenario())
+        summary = summarize_events(event.to_dict() for event in sink.events)
+        # Epochs 2..5 commit after the bootstrap; 2 and 4 are audited.
+        assert (summary.serve_audits, summary.serve_audit_failures) == (2, 0)
 
 
 class TestProbes:
