@@ -50,7 +50,9 @@ from repro.core.bulk import bounded_arb_independent_set_bulk  # noqa: E402
 from repro.graphs.csr import (  # noqa: E402
     bounded_arboricity_edges,
     csr_bounded_arboricity,
+    csr_from_graph,
 )
+from repro.graphs.generators import bounded_arboricity_graph  # noqa: E402
 from repro.mis.bulk import (  # noqa: E402
     ghaffari_mis_bulk,
     luby_a_mis_bulk,
@@ -80,6 +82,10 @@ GRIDS: Dict[str, List[dict]] = {
         {"algorithm": "luby-b-bulk", "n": 300_000, "alpha": 2, "seed": 0},
         {"algorithm": "ghaffari-bulk", "n": 300_000, "alpha": 2, "seed": 0},
         {"algorithm": "metivier-bulk", "n": 1_000_000, "alpha": 2, "seed": 0},
+        # End to end from networkx: the timed span is the Prüfer-union
+        # generator, the nx -> CSR build and the kernel, the path every
+        # caller holding an nx graph takes.
+        {"algorithm": "metivier-bulk-nx", "n": 100_000, "alpha": 2, "seed": 0},
     ],
     "e17": [
         {"algorithm": "arb-alg1-bulk", "n": 300_000, "alpha": 2, "seed": 0},
@@ -237,7 +243,10 @@ def run_cell(cell: dict) -> dict:
     if cell["algorithm"] == "serve-epoch":
         return _run_serve_epoch_cell(cell)
     serve_cell = cell["algorithm"].startswith("serve-")
-    csr = None if serve_cell else _graph(cell["n"], cell["alpha"], cell["seed"])
+    nx_cell = cell["algorithm"].endswith("-nx")
+    csr = None
+    if not (serve_cell or nx_cell):
+        csr = _graph(cell["n"], cell["alpha"], cell["seed"])
     repeats = 3 if cell["n"] <= 300_000 else 2
     best = float("inf")
     iterations = mis_size = None
@@ -245,6 +254,15 @@ def run_cell(cell: dict) -> dict:
         start = time.perf_counter()
         if serve_cell:
             iterations, mis_size = _run_serve_cell(cell)
+        elif nx_cell:
+            graph = bounded_arboricity_graph(
+                cell["n"], cell["alpha"], seed=cell["seed"]
+            )
+            result = _MIS_ENGINES[cell["algorithm"][: -len("-nx")]](
+                csr_from_graph(graph), seed=cell["seed"]
+            )
+            iterations = result.iterations
+            mis_size = len(result.mis)
         elif cell["algorithm"] == "arb-alg1-bulk":
             result = bounded_arb_independent_set_bulk(
                 csr, alpha=cell["alpha"], seed=cell["seed"]

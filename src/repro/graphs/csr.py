@@ -8,7 +8,12 @@ module owns the array layout and every way of building it:
   bookkeeping that lets engines work purely in dense positions ``0..n-1``
   and translate back to the caller's node labels only at the end;
 * :func:`csr_from_graph` — build from any :class:`networkx.Graph`,
-  including graphs with non-integer (string, tuple, ...) node labels;
+  including graphs with non-integer (string, tuple, ...) node labels.
+  The build is vectorized: one pass of C-level iterators over the
+  adjacency dicts (degrees, then the flattened neighbor labels), one
+  label→position mapping, and one sort of ``row·n + position`` keys.
+  Self-loops are rejected with :class:`~repro.errors.GraphError`, as the
+  CONGEST :class:`~repro.congest.network.Network` rejects them;
 * :func:`csr_from_edges` — build directly from edge arrays, bypassing
   ``networkx`` entirely — this is what makes n = 10⁷ workloads feasible
   (a ``networkx`` graph at that size costs minutes and tens of GB; the
@@ -28,6 +33,7 @@ cannot key at all) the dense positions serve as the keys.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -118,15 +124,17 @@ def _order_nodes(nodes: Iterable) -> List:
         return nodes
 
 
-def _key_ids_for(ordered: List, integer_labeled: bool) -> np.ndarray:
-    if integer_labeled:
-        # Fold into the 64-bit ring exactly like ``derive_seed`` does with
-        # ``label & MASK`` — negative and >= 2**63 labels key identically
-        # in both engines.
-        return np.fromiter(
-            ((int(v) & _MASK) for v in ordered), dtype=np.uint64, count=len(ordered)
-        )
-    return np.arange(len(ordered), dtype=np.uint64)
+def _key_ids_for(ordered: List, labels: Sequence, integer_labeled: bool) -> np.ndarray:
+    if not integer_labeled:
+        return np.arange(len(ordered), dtype=np.uint64)
+    # Fold into the 64-bit ring exactly like ``derive_seed`` does with
+    # ``label & MASK`` — negative and >= 2**63 labels key identically
+    # in both engines.  The int64 → uint64 cast is that same fold.
+    if isinstance(labels, np.ndarray):
+        return labels.astype(np.uint64)
+    return np.fromiter(
+        ((int(v) & _MASK) for v in ordered), dtype=np.uint64, count=len(ordered)
+    )
 
 
 def csr_from_graph(graph) -> CSRGraph:
@@ -135,27 +143,58 @@ def csr_from_graph(graph) -> CSRGraph:
     Works for arbitrary hashable node labels: labels are mapped to dense
     positions once, here, and translated back only in results (the fix for
     the ``position[int(v)]`` crash on non-integer labels).
+
+    Past one adjacency-dict lookup per node, the build runs at array
+    speed.  Degrees and the flattened neighbor labels come from
+    ``np.fromiter`` over the adjacency dicts in position order.  Integer labels that fit in int64 map to positions
+    with one ``np.searchsorted`` on the sorted label array (skipped when
+    the labels are exactly ``0..n-1``); any other label goes through a
+    label→position dict.  One sort of the ``row·n + position`` keys then
+    orders every row ascending.
+
+    Raises :class:`~repro.errors.GraphError` naming the node if the graph
+    has a self-loop: no engine defines a node competing with itself, and
+    the CONGEST :class:`~repro.congest.network.Network` rejects them too.
     """
     ordered = _order_nodes(graph.nodes())
+    n = len(ordered)
     integer_labeled = all(isinstance(v, int) for v in ordered)
-    position = {v: i for i, v in enumerate(ordered)}
-    indptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-    flat: List[int] = []
-    for i, v in enumerate(ordered):
-        flat.extend(sorted(position[u] for u in graph.neighbors(v)))
-        indptr[i + 1] = len(flat)
+    labels: Sequence = ordered
     if integer_labeled:
         try:
-            labels: Sequence = np.array(ordered, dtype=np.int64)
+            labels = np.array(ordered, dtype=np.int64)
         except OverflowError:  # labels outside int64: keep Python ints
-            labels = ordered
+            pass
+    adjacency = graph._adj
+    neighborhoods = [adjacency[v] for v in ordered]
+    degrees = np.fromiter(map(len, neighborhoods), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    flat = itertools.chain.from_iterable(neighborhoods)
+    if isinstance(labels, np.ndarray):
+        targets = np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
+        if n and (labels[0] != 0 or labels[-1] != n - 1):
+            targets = np.searchsorted(labels, targets)
     else:
-        labels = ordered
+        position = {v: i for i, v in enumerate(ordered)}
+        targets = np.fromiter(
+            map(position.__getitem__, flat), dtype=np.int64, count=int(indptr[-1])
+        )
+    sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    loops = np.flatnonzero(sources == targets)
+    if loops.size:
+        node = ordered[int(sources[loops[0]])]
+        raise GraphError(f"self-loop at node {node!r}: the engines need a simple graph")
+    # Rows are already in position order, so sorting the combined keys
+    # sorts each row's segment in place; subtracting the row offset
+    # leaves the neighbor positions.
+    offsets = sources * n
+    indices = np.sort(offsets + targets) - offsets
     return CSRGraph(
         labels=labels,
-        key_ids=_key_ids_for(ordered, integer_labeled),
+        key_ids=_key_ids_for(ordered, labels, integer_labeled),
         indptr=indptr,
-        indices=np.array(flat, dtype=np.int64),
+        indices=indices,
         integer_labeled=integer_labeled,
     )
 

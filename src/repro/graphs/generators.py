@@ -18,9 +18,10 @@ talks about:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -60,40 +61,50 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
     algorithms a non-trivial degree profile (unlike paths or stars).
     """
     _require_positive(n)
-    if n == 1:
-        g = nx.Graph()
-        g.add_node(0)
-        return g
-    if n == 2:
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        return g
+    u, v = _random_tree_edges(n, seed)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(zip(u.tolist(), v.tolist()))
+    return g
+
+
+def _random_tree_edges(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge arrays of ``random_tree(n, seed)`` in Prüfer decode order
+    (standard O(n log n) smallest-leaf heap), without building a graph."""
+    if n <= 2:  # no edge, or the single edge (0, 1)
+        return np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    prufer = rng.integers(0, n, size=n - 2)
-    return _tree_from_prufer(list(int(x) for x in prufer), n)
-
-
-def _tree_from_prufer(prufer: list, n: int) -> nx.Graph:
-    """Decode a Prüfer sequence into its labeled tree (standard O(n log n))."""
+    prufer = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
+    u: List[int] = []
     for x in prufer:
-        leaf = heapq.heappop(leaves)
-        g.add_edge(leaf, x)
+        u.append(heapq.heappop(leaves))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    g.add_edge(u, v)
-    return g
+    u.append(heapq.heappop(leaves))
+    v = prufer + [heapq.heappop(leaves)]
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
+def _forest_edges(n: int, seed: int) -> List[Tuple[int, int]]:
+    """The edges of ``random_tree(n, seed)`` in the order its ``edges()``
+    view lists them.
+
+    A tree whose nodes are ``0..n-1`` in order reports edge ``{u, v}``
+    from ``min(u, v)``, in the order the decode added it: the decode
+    order stably sorted by the smaller endpoint, each edge oriented
+    ``(min, max)``.  Adding these to a union leaves the same node order
+    and per-node adjacency order as copying a built tree's ``edges()``.
+    """
+    u, v = _random_tree_edges(n, seed)
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(low, kind="stable")
+    return list(zip(low[order].tolist(), high[order].tolist()))
 
 
 def random_binary_tree(n: int, seed: int = 0) -> nx.Graph:
@@ -205,6 +216,12 @@ def bounded_arboricity_graph(n: int, alpha: int, seed: int = 0) -> nx.Graph:
     for n ≫ α the union has ≈ α(n-1) distinct edges, making the
     Nash–Williams density ≈ α, i.e. the bound is essentially tight.  It is
     the primary workload for the paper's algorithm (DESIGN.md E1/E3/E6).
+
+    Adjacency order is part of the contract, not only the edge set: nodes
+    are ``0..n-1`` in order, and each tree's edges are added in the order
+    a built ``random_tree``'s ``edges()`` lists them.  The scalar engines
+    and the CONGEST simulator iterate the graph in these orders, so tests
+    pin them with golden digests.
     """
     _require_positive(n)
     if alpha < 1:
@@ -212,8 +229,9 @@ def bounded_arboricity_graph(n: int, alpha: int, seed: int = 0) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(n))
     for forest_index in range(alpha):
-        tree = random_tree(n, seed=seed * 1_000_003 + forest_index + 1)
-        g.add_edges_from(tree.edges())
+        g.add_edges_from(
+            _forest_edges(n, seed * 1_000_003 + forest_index + 1)
+        )
     return g
 
 
@@ -266,8 +284,9 @@ def starry_arboricity_graph(
     for v in range(hubs, n):
         g.add_edge(v, hub_ids[v % hubs])
     for forest_index in range(alpha - 1):
-        tree = random_tree(n, seed=seed * 2_000_003 + forest_index + 1)
-        g.add_edges_from(tree.edges())
+        g.add_edges_from(
+            _forest_edges(n, seed * 2_000_003 + forest_index + 1)
+        )
     return g
 
 
