@@ -46,6 +46,7 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.core.arb_mis import arb_mis  # noqa: E402
 from repro.core.bulk import bounded_arb_independent_set_bulk  # noqa: E402
 from repro.graphs.csr import (  # noqa: E402
     bounded_arboricity_edges,
@@ -90,6 +91,10 @@ GRIDS: Dict[str, List[dict]] = {
     "e17": [
         {"algorithm": "arb-alg1-bulk", "n": 300_000, "alpha": 2, "seed": 0},
         {"algorithm": "arb-alg1-bulk", "n": 1_000_000, "alpha": 2, "seed": 0},
+        # End to end from networkx: the timed span is the Prüfer-union
+        # generator and the whole ArbMIS pipeline with validation on, the
+        # body of ``repro run``.
+        {"algorithm": "arb-mis-nx", "n": 100_000, "alpha": 2, "seed": 0},
     ],
     # E19: the sharded MPC runtime (inline shard execution — pool startup
     # noise has no place in a CI gate).  The shards axis is the point:
@@ -254,6 +259,13 @@ def run_cell(cell: dict) -> dict:
         start = time.perf_counter()
         if serve_cell:
             iterations, mis_size = _run_serve_cell(cell)
+        elif cell["algorithm"] == "arb-mis-nx":
+            graph = bounded_arboricity_graph(
+                cell["n"], cell["alpha"], seed=cell["seed"]
+            )
+            result = arb_mis(graph, alpha=cell["alpha"], seed=cell["seed"])
+            iterations = result.iterations
+            mis_size = len(result.mis)
         elif nx_cell:
             graph = bounded_arboricity_graph(
                 cell["n"], cell["alpha"], seed=cell["seed"]

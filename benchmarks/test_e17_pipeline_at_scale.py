@@ -1,7 +1,8 @@
 """E17 (extension) — the full pipeline at n up to 2¹⁶.
 
-With the vectorized Algorithm 1 engine (bit-identical to the scalar one),
-the complete ArbMIS pipeline runs at n = 65 536.  This records the
+With the vectorized Algorithm 1 engine (bit-identical to the per-node
+reference loop kept in the tests), the complete ArbMIS pipeline runs at
+n = 65 536.  This records the
 end-to-end picture at the largest feasible sizes: measured CONGEST
 rounds of the paper's pipeline vs the Métivier baseline, validated
 outputs, and wall time — the repository's "does the whole thing actually

@@ -33,7 +33,7 @@ from repro.core.degree_reduction import (
 from repro.core.finishing import FinishReport, finish
 from repro.core.parameters import Parameters, ROUNDS_PER_ITERATION, compute_parameters
 from repro.errors import ConfigurationError
-from repro.graphs.properties import max_degree as graph_max_degree
+from repro.graphs.csr import csr_from_graph
 from repro.mis.engine import MISResult
 
 __all__ = [
@@ -133,9 +133,9 @@ def arb_mis(
         deterministic Vlo/Vhi stages via (Δ+1)-coloring; the Theorem-7.4
         flavor the paper cites in §3.3).
     engine:
-        ``"scalar"`` (default) or ``"bulk"`` — the numpy-vectorized
-        Algorithm 1 engine, bit-identical to the scalar one (tested) and
-        much faster at n ≥ 10⁴.
+        ``"scalar"`` (default) or ``"bulk"``; both run the one Algorithm-1
+        engine, the columnar kernel of :mod:`repro.core.bulk`.  The
+        keyword is kept for callers that still name an engine.
     observer:
         Optional phase-timer host (anything with an
         ``ObsSession``-compatible ``phase(name)`` context manager); the
@@ -155,33 +155,30 @@ def arb_mis(
             extra={"report": report, "parameters": empty_params},
         )
 
+    if engine not in ("scalar", "bulk"):
+        raise ConfigurationError(f"unknown engine {engine!r}; use 'scalar' or 'bulk'")
+
+    # One CSR serves Δ and Algorithm 1; it is rebuilt only when the
+    # degree reduction removes nodes.
+    csr = csr_from_graph(graph)
     reduction: Optional[DegreeReductionResult] = None
-    working = graph
     pre_selected = set()
     if apply_degree_reduction:
         threshold = degree_reduction_threshold(graph.number_of_nodes(), alpha)
-        if graph_max_degree(graph) > threshold:
+        if csr.max_degree() > threshold:
             with _phase(observer, PHASE_DEGREE_REDUCTION):
                 reduction = reduce_max_degree(
                     graph, alpha, seed=seed, threshold=threshold
                 )
                 pre_selected = set(reduction.independent_set)
-                working = graph.subgraph(reduction.surviving).copy()
+                csr = csr_from_graph(graph.subgraph(reduction.surviving))
 
     params = parameters or compute_parameters(
-        alpha, graph_max_degree(working), profile=profile, p_constant=p_constant
+        alpha, csr.max_degree(), profile=profile, p_constant=p_constant
     )
-    if engine == "bulk":
-        from repro.core.bulk import bounded_arb_independent_set_bulk
-
-        algorithm_1 = bounded_arb_independent_set_bulk
-    elif engine == "scalar":
-        algorithm_1 = bounded_arb_independent_set
-    else:
-        raise ConfigurationError(f"unknown engine {engine!r}; use 'scalar' or 'bulk'")
     with _phase(observer, PHASE_SHATTERING):
-        partial = algorithm_1(
-            working,
+        partial = bounded_arb_independent_set(
+            csr,
             alpha=alpha,
             seed=seed,
             parameters=params,

@@ -14,35 +14,31 @@ the paper.
 
 Engines
 -------
-* :func:`bounded_arb_independent_set` — fast engine, with optional
-  per-scale statistics and an ``early_exit`` optimization (skip remaining
-  iterations of a scale once every active node already satisfies the
-  Invariant; off by default in tests that compare against the CONGEST
-  engine, since skipping shifts the randomness schedule);
-* :class:`BoundedArbNodeProgram` — CONGEST engine.  Each scale costs
-  3Λ + 2 rounds: 3 per iteration (keys / decide / notify) plus a degree
-  exchange and a bad-announcement round at the scale boundary.
+* :func:`bounded_arb_independent_set` — the columnar kernel
+  (:mod:`repro.core.bulk`, re-exported here), the one fast implementation.
+  It takes a ``networkx`` graph or a prebuilt
+  :class:`~repro.graphs.csr.CSRGraph`, and has an ``early_exit``
+  optimization (skip remaining iterations of a scale once every active
+  node already satisfies the Invariant; off by default, since skipping
+  shifts the randomness schedule away from the CONGEST engine's);
+* :class:`BoundedArbNodeProgram` — CONGEST engine, the fidelity oracle.
+  Each scale costs 3Λ + 2 rounds: 3 per iteration (keys / decide /
+  notify) plus a degree exchange and a bad-announcement round at the
+  scale boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Set, Tuple
 
 import networkx as nx
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.network import Network
 from repro.congest.simulator import SynchronousSimulator
-from repro.core.invariant import (
-    active_degrees,
-    high_degree_neighbor_counts,
-    invariant_violators,
-)
+from repro.core.bulk import BoundedArbResult, ScaleStats, bounded_arb_independent_set
 from repro.core.parameters import Parameters, ROUNDS_PER_ITERATION, compute_parameters
-from repro.errors import ConfigurationError
 from repro.graphs.properties import max_degree as graph_max_degree
-from repro.mis.engine import active_adjacency, competition_winners, eliminate_winners
 from repro.rng import priority_draw
 
 __all__ = [
@@ -52,175 +48,6 @@ __all__ = [
     "BoundedArbNodeProgram",
     "bounded_arb_congest",
 ]
-
-
-@dataclass
-class ScaleStats:
-    """What happened during one scale (experiments E6/E7 read these)."""
-
-    scale: int
-    iterations_used: int
-    active_before: int
-    active_after: int
-    joined: int
-    eliminated: int
-    bad_added: int
-    max_high_degree_neighbors: int
-    bad_threshold: float
-    invariant_satisfied: bool
-
-
-@dataclass
-class BoundedArbResult:
-    """Output of Algorithm 1: the sets (I, B) and the residual VIB."""
-
-    independent_set: Set[int]
-    bad_set: Set[int]
-    residual: Set[int]
-    parameters: Parameters
-    iterations: int
-    seed: int
-    scale_stats: List[ScaleStats] = field(default_factory=list)
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        return (
-            f"bounded-arb: |I|={len(self.independent_set)} |B|={len(self.bad_set)} "
-            f"|VIB|={len(self.residual)} scales={self.parameters.theta} "
-            f"iterations={self.iterations}"
-        )
-
-
-def _competition_keys(
-    active: Set[int],
-    degrees: Dict[int, int],
-    rho_k: float,
-    seed: int,
-    iteration: int,
-) -> Tuple[Dict[int, Tuple], Set[int]]:
-    """Keys for one iteration: competitive nodes draw, others play zero.
-
-    Mirrors the paper's priority rule: ``r(v) = 0`` deterministically when
-    ``deg_IB(v) > ρ_k``, uniform otherwise.  Zero-priority nodes can never
-    exceed a competitive neighbor and are additionally ineligible to win
-    (a zero priority is never *greater* than anything).
-    """
-    keys: Dict[int, Tuple] = {}
-    competitive: Set[int] = set()
-    for v in active:
-        if degrees[v] > rho_k:
-            keys[v] = (0, 0, v)
-        else:
-            competitive.add(v)
-            keys[v] = (1, priority_draw(seed, v, iteration), v)
-    return keys, competitive
-
-
-def bounded_arb_independent_set(
-    graph: nx.Graph,
-    alpha: int,
-    seed: int = 0,
-    profile: str = "practical",
-    p_constant: int = 1,
-    early_exit: bool = False,
-    parameters: Optional[Parameters] = None,
-) -> BoundedArbResult:
-    """Fast engine for Algorithm 1.
-
-    Parameters
-    ----------
-    graph:
-        The input graph (arboricity ≤ ``alpha`` for the guarantees to
-        apply; the algorithm runs — without them — on any graph).
-    alpha:
-        The arboricity bound fed into the parameter formulas.
-    profile / p_constant / parameters:
-        Parameter selection; an explicit ``parameters`` overrides the
-        profile computation (used by the ablation benchmark E10).
-    early_exit:
-        Skip the rest of a scale's iterations once the Invariant holds at
-        every active node.  Changes the randomness schedule, so leave off
-        when comparing against the CONGEST engine.
-    """
-    if alpha < 1:
-        raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
-    params = parameters or compute_parameters(
-        alpha, graph_max_degree(graph), profile=profile, p_constant=p_constant
-    )
-
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    independent: Set[int] = set()
-    bad: Set[int] = set()
-    stats: List[ScaleStats] = []
-    iteration_counter = 0
-
-    for k in params.scales():
-        rho_k = params.rho(k)
-        active_before = len(active)
-        joined_this_scale = 0
-        eliminated_this_scale = 0
-        iterations_used = 0
-
-        for _ in range(params.lambda_iterations):
-            if not active:
-                break
-            if early_exit and not invariant_violators(active, adjacency, params, k):
-                break
-            degrees = active_degrees(active, adjacency)
-            keys, competitive = _competition_keys(
-                active, degrees, rho_k, seed, iteration_counter
-            )
-            winners = competition_winners(active, adjacency, keys, eligible=competitive)
-            independent |= winners
-            removed = eliminate_winners(active, adjacency, winners)
-            joined_this_scale += len(winners)
-            eliminated_this_scale += len(removed) - len(winners)
-            iteration_counter += 1
-            iterations_used += 1
-
-        # Step 2(b): mark and remove bad nodes.
-        counts = high_degree_neighbor_counts(
-            active, adjacency, params.high_degree_threshold(k)
-        )
-        bad_threshold = params.bad_threshold(k)
-        newly_bad = {v for v, c in counts.items() if c > bad_threshold}
-        bad |= newly_bad
-        active -= newly_bad
-        for v in newly_bad:
-            for u in adjacency[v]:
-                adjacency[u].discard(v)
-            adjacency[v] = set()
-
-        remaining_counts = high_degree_neighbor_counts(
-            active, adjacency, params.high_degree_threshold(k)
-        )
-        stats.append(
-            ScaleStats(
-                scale=k,
-                iterations_used=iterations_used,
-                active_before=active_before,
-                active_after=len(active),
-                joined=joined_this_scale,
-                eliminated=eliminated_this_scale,
-                bad_added=len(newly_bad),
-                max_high_degree_neighbors=max(remaining_counts.values(), default=0),
-                bad_threshold=bad_threshold,
-                invariant_satisfied=all(
-                    c <= bad_threshold for c in remaining_counts.values()
-                ),
-            )
-        )
-
-    return BoundedArbResult(
-        independent_set=independent,
-        bad_set=bad,
-        residual=active,
-        parameters=params,
-        iterations=iteration_counter,
-        seed=seed,
-        scale_stats=stats,
-    )
 
 
 # ---------------------------------------------------------------------------

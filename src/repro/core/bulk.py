@@ -1,24 +1,24 @@
-"""Bulk (numpy-vectorized) engine for BoundedArbIndependentSet.
+"""Algorithm 1's columnar kernel: its one fast implementation.
 
-Same contract as the engines in :mod:`repro.mis.bulk`: identical control
-flow and keyed randomness as the scalar fast engine
-(:func:`repro.core.bounded_arb.bounded_arb_independent_set`), so outputs
-are **bit-identical** for equal seeds — verified by tests — while the
-per-iteration work becomes a handful of segment reductions over the
-shared columnar substrate (:mod:`repro.mis.csr`).  This is what lets the
-paper's Algorithm 1 run at n = 10⁷ (benchmark E17): pass a prebuilt
-:class:`~repro.graphs.csr.CSRGraph` and no ``networkx`` object is ever
-materialized.
+:mod:`repro.core.bounded_arb` describes the algorithm and re-exports this
+kernel beside the CONGEST engine, which stays as the fidelity oracle.
+Every iteration is a handful of segment reductions over the shared
+columnar substrate (:mod:`repro.mis.csr`), keyed by the same
+``(seed, node, iteration)`` draws as the CONGEST engine (DESIGN.md §4), so
+the two are bit-identical for equal seeds — verified by tests.  Pass a
+prebuilt :class:`~repro.graphs.csr.CSRGraph` and no ``networkx`` object is
+ever materialized: this is what lets Algorithm 1 run at n = 10⁷
+(benchmark E17).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Union
 
 import networkx as nx
 import numpy as np
 
-from repro.core.bounded_arb import BoundedArbResult, ScaleStats
 from repro.core.parameters import Parameters, compute_parameters
 from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph, csr_from_graph
@@ -37,10 +37,52 @@ from repro.obs.trace import (
     SPAN_RUN,
 )
 
-__all__ = ["bounded_arb_independent_set_bulk"]
+__all__ = [
+    "ScaleStats",
+    "BoundedArbResult",
+    "bounded_arb_independent_set",
+    "bounded_arb_independent_set_bulk",
+]
 
 
-def bounded_arb_independent_set_bulk(
+@dataclass
+class ScaleStats:
+    """What happened during one scale (experiments E6/E7 read these)."""
+
+    scale: int
+    iterations_used: int
+    active_before: int
+    active_after: int
+    joined: int
+    eliminated: int
+    bad_added: int
+    max_high_degree_neighbors: int
+    bad_threshold: float
+    invariant_satisfied: bool
+
+
+@dataclass
+class BoundedArbResult:
+    """Output of Algorithm 1: the sets (I, B) and the residual VIB."""
+
+    independent_set: Set[int]
+    bad_set: Set[int]
+    residual: Set[int]
+    parameters: Parameters
+    iterations: int
+    seed: int
+    scale_stats: List[ScaleStats] = field(default_factory=list)
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+    def summary(self) -> str:
+        return (
+            f"bounded-arb: |I|={len(self.independent_set)} |B|={len(self.bad_set)} "
+            f"|VIB|={len(self.residual)} scales={self.parameters.theta} "
+            f"iterations={self.iterations}"
+        )
+
+
+def bounded_arb_independent_set(
     graph: Union[nx.Graph, CSRGraph],
     alpha: int,
     seed: int = 0,
@@ -50,7 +92,28 @@ def bounded_arb_independent_set_bulk(
     parameters: Optional[Parameters] = None,
     tracer=None,
 ) -> BoundedArbResult:
-    """Vectorized Algorithm 1, bit-identical to the scalar fast engine."""
+    """Run Algorithm 1 and return ``(I, B)`` plus the residual VIB.
+
+    Parameters
+    ----------
+    graph:
+        The input graph, as ``networkx`` or a prebuilt
+        :class:`~repro.graphs.csr.CSRGraph` (arboricity ≤ ``alpha`` for
+        the guarantees to apply; the algorithm runs — without them — on
+        any simple graph).
+    alpha:
+        The arboricity bound fed into the parameter formulas.
+    profile / p_constant / parameters:
+        Parameter selection; an explicit ``parameters`` overrides the
+        profile computation (used by the ablation benchmark E10).
+    early_exit:
+        Skip the rest of a scale's iterations once the Invariant holds at
+        every active node.  Changes the randomness schedule, so leave off
+        when comparing against the CONGEST engine.
+    tracer:
+        Optional :class:`~repro.obs.trace.Tracer` for run → scale →
+        iteration → kernel spans.
+    """
     if alpha < 1:
         raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
     csr = graph if isinstance(graph, CSRGraph) else csr_from_graph(graph)
@@ -74,14 +137,11 @@ def bounded_arb_independent_set_bulk(
     bad = np.zeros(n, dtype=bool)
     stats: List[ScaleStats] = []
     iteration_counter = 0
-
-    def active_degrees() -> np.ndarray:
-        return neighbor_count(active, csr)
+    # deg_IB of every active node, refreshed whenever ``active`` shrinks.
+    degrees = csr.degrees()
 
     def high_degree_counts(threshold: float) -> np.ndarray:
-        degrees = active_degrees()
-        high = active & (degrees > threshold)
-        return neighbor_count(high, csr)
+        return neighbor_count(active & (degrees > threshold), csr)
 
     run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
     for k in params.scales():
@@ -111,18 +171,16 @@ def bounded_arb_independent_set_bulk(
                 else None
             )
             k_span = (
-                tracer.begin(SPAN_KERNEL_DEGREES, round=iteration_counter)
+                tracer.begin(SPAN_KERNEL_COMPETE, round=iteration_counter)
                 if tracer is not None
                 else None
             )
-            degrees = active_degrees()
+            # The paper's priority rule: r(v) = 0 deterministically when
+            # deg_IB(v) > ρ_k, a keyed uniform draw otherwise.
             competitive = active & (degrees <= rho_k)
             priorities = keyed_priorities(csr, seed, iteration_counter)
             masked = np.where(competitive, priorities, np.uint64(0))
-            if tracer is not None:
-                tracer.end(k_span)
-                k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration_counter)
-            # Scalar rule: competitive nodes play (1, priority, id); active
+            # Competitive nodes play (1, priority, id); active
             # non-competitive neighbors play (0, 0, id) and can never block.
             winners = masked_competition(
                 csr,
@@ -141,22 +199,30 @@ def bounded_arb_independent_set_bulk(
 
             in_mis |= winners
             eliminated = (winners | spread_to_neighbors(winners, csr)) & active
-            joined_this_scale += int(winners.sum())
-            eliminated_this_scale += int(eliminated.sum()) - int(winners.sum())
+            joined = int(winners.sum())
+            joined_this_scale += joined
+            eliminated_this_scale += int(eliminated.sum()) - joined
             active &= ~eliminated
             if tracer is not None:
-                tracer.end(k_span, winners=int(winners.sum()))
+                tracer.end(k_span, winners=joined)
+                k_span = tracer.begin(SPAN_KERNEL_DEGREES, round=iteration_counter)
+            degrees = neighbor_count(active, csr)
+            if tracer is not None:
+                tracer.end(k_span)
                 tracer.end(it_span)
             iteration_counter += 1
             iterations_used += 1
 
+        # Step 2(b): mark and remove bad nodes.
         counts = high_degree_counts(high_threshold)
         newly_bad = active & (counts > bad_threshold)
-        bad |= newly_bad
-        active &= ~newly_bad
-
-        remaining = high_degree_counts(high_threshold)
-        remaining_active = remaining[active] if active.any() else np.array([], dtype=np.int64)
+        bad_added = int(newly_bad.sum())
+        if bad_added:
+            bad |= newly_bad
+            active &= ~newly_bad
+            degrees = neighbor_count(active, csr)
+            counts = high_degree_counts(high_threshold)
+        remaining = counts[active]
         stats.append(
             ScaleStats(
                 scale=k,
@@ -165,12 +231,10 @@ def bounded_arb_independent_set_bulk(
                 active_after=int(active.sum()),
                 joined=joined_this_scale,
                 eliminated=eliminated_this_scale,
-                bad_added=int(newly_bad.sum()),
-                max_high_degree_neighbors=int(remaining_active.max()) if remaining_active.size else 0,
+                bad_added=bad_added,
+                max_high_degree_neighbors=int(remaining.max()) if remaining.size else 0,
                 bad_threshold=bad_threshold,
-                invariant_satisfied=bool(
-                    (remaining_active <= bad_threshold).all() if remaining_active.size else True
-                ),
+                invariant_satisfied=bool((remaining <= bad_threshold).all()),
             )
         )
         if tracer is not None:
@@ -191,3 +255,7 @@ def bounded_arb_independent_set_bulk(
         seed=seed,
         scale_stats=stats,
     )
+
+
+#: Alias for callers that name the kernel explicitly (E17, the perf gate).
+bounded_arb_independent_set_bulk = bounded_arb_independent_set

@@ -6,8 +6,8 @@
 The algorithm enforces it *by construction* (violators are moved to the bad
 set B in step 2(b)); what the paper proves — and experiment E7 measures —
 is that violations are rare, so B stays tiny.  This module provides the
-measurement primitives shared by the algorithm, the instrumentation and the
-tests.
+per-node measurement primitives, which the tests' per-node reference
+implementation of Algorithm 1 is also built from.
 """
 
 from __future__ import annotations

@@ -105,6 +105,8 @@ class CSRGraph:
 
     def label_set(self, mask: np.ndarray) -> Set:
         """Translate a boolean position mask back to a set of node labels."""
+        if isinstance(self.labels, np.ndarray):
+            return set(self.labels[mask].tolist())
         if self.integer_labeled:
             return {int(self.labels[i]) for i in np.nonzero(mask)[0]}
         return {self.labels[i] for i in np.nonzero(mask)[0]}

@@ -29,6 +29,7 @@ import networkx as nx
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.metrics import RunMetrics
+from repro.errors import GraphError
 
 __all__ = [
     "MISResult",
@@ -75,8 +76,18 @@ class MISResult:
 
 
 def active_adjacency(graph: nx.Graph) -> Dict[int, Set[int]]:
-    """Mutable adjacency-dict copy used by the fast engines."""
-    return {v: set(graph.neighbors(v)) for v in graph.nodes()}
+    """Mutable adjacency-dict copy used by the fast engines.
+
+    Raises :class:`~repro.errors.GraphError` naming the node on a
+    self-loop, as :func:`~repro.graphs.csr.csr_from_graph` does: no engine
+    defines a node competing with itself.
+    """
+    adjacency: Dict[int, Set[int]] = {}
+    for v, neighbors in graph.adjacency():
+        if v in neighbors:
+            raise GraphError(f"self-loop at node {v!r}: the engines need a simple graph")
+        adjacency[v] = set(neighbors)
+    return adjacency
 
 
 def competition_winners(

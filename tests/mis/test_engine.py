@@ -5,12 +5,17 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.errors import GraphError
 from repro.mis.engine import (
     MISResult,
     active_adjacency,
     competition_winners,
     eliminate_winners,
 )
+from repro.mis.registry import available_algorithms, get_algorithm
+
+#: Registry names that reject any non-forest before an engine runs.
+FOREST_ONLY = {"tree-independent-set", "lenzen-wattenhofer"}
 
 
 class TestActiveAdjacency:
@@ -23,6 +28,26 @@ class TestActiveAdjacency:
         adj = active_adjacency(path5)
         adj[0].discard(1)
         assert path5.has_edge(0, 1)
+
+    def test_self_loop_names_the_node(self):
+        graph = nx.path_graph(4)
+        graph.add_edge(1, 1)
+        with pytest.raises(GraphError, match="self-loop at node 1"):
+            active_adjacency(graph)
+
+
+@pytest.mark.parametrize("engine", [None, "bulk", "mpc"])
+@pytest.mark.parametrize("name", available_algorithms())
+def test_every_engine_rejects_a_self_loop(name, engine, monkeypatch):
+    # Scalar engines used to crash mid-run with "Set changed size during
+    # iteration" on this graph instead of rejecting it.
+    monkeypatch.delenv("REPRO_MIS_ENGINE", raising=False)
+    graph = nx.path_graph(4)
+    graph.add_edge(1, 1)
+    kwargs = {"alpha": 2} if name == "arb-mis" else {}
+    match = "forest" if name in FOREST_ONLY else "self-loop at node 1"
+    with pytest.raises(GraphError, match=match):
+        get_algorithm(name, engine=engine)(graph, seed=0, **kwargs)
 
 
 class TestCompetitionWinners:
