@@ -142,6 +142,10 @@ GRIDS: Dict[str, List[dict]] = {
         {"algorithm": "serve-epoch", "n": 1_000, "seed": 0, "churn": 16, "epochs": 12},
         {"algorithm": "serve-epoch", "n": 10_000, "seed": 0, "churn": 16, "epochs": 12},
         {"algorithm": "serve-epoch", "n": 100_000, "seed": 0, "churn": 16, "epochs": 12},
+        # The bootstrap: GraphSession construction with the default engine
+        # (one full MIS computation, its full validation and the first
+        # fingerprint) on a prebuilt n=10^5 alpha=2 graph, best of 3.
+        {"algorithm": "serve-bootstrap", "n": 100_000, "alpha": 2, "seed": 0},
     ],
 }
 
@@ -200,6 +204,17 @@ def _run_serve_cell(cell: dict) -> tuple:
     return rounds, len(session.mis)
 
 
+def _session_graph(n: int, alpha: int, seed: int):
+    """A networkx graph on ``0..n-1`` from ``bounded_arboricity_edges``."""
+    import networkx as nx
+
+    u, v = bounded_arboricity_edges(n, alpha, seed=seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    return graph
+
+
 def serve_epoch_walls(n: int, churn: int, epochs: int, seed: int) -> tuple:
     """Time repair epochs on a session over an alpha=2 graph of n nodes.
 
@@ -208,16 +223,10 @@ def serve_epoch_walls(n: int, churn: int, epochs: int, seed: int) -> tuple:
     ``churn`` mutations per epoch.  Returns ``(per-epoch seconds, total
     repair rounds, final |MIS|)``.
     """
-    import networkx as nx
-
     from repro.serve.incremental import GraphSession
     from repro.serve.loadgen import LoadGenConfig, mutation_batches
 
-    u, v = bounded_arboricity_edges(n, 2, seed=seed)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(zip(u.tolist(), v.tolist()))
-    session = GraphSession("perf-gate", seed=seed, graph=graph)
+    session = GraphSession("perf-gate", seed=seed, graph=_session_graph(n, 2, seed))
     config = LoadGenConfig(seed=seed, nodes=n, epochs=epochs, churn=churn)
     walls, rounds = [], 0
     for batch in mutation_batches(config):
@@ -243,10 +252,43 @@ def _run_serve_epoch_cell(cell: dict) -> dict:
     }
 
 
+def _run_serve_bootstrap_cell(cell: dict) -> dict:
+    """Time ``GraphSession`` construction on a prebuilt graph, best of 3.
+
+    ``iterations`` is the default engine's iteration count for the
+    bootstrap seed, from one untimed rerun that must reproduce the
+    session's MIS.
+    """
+    from repro.mis.registry import get_algorithm
+    from repro.rng import derive_seed
+    from repro.serve.incremental import GraphSession
+
+    graph = _session_graph(cell["n"], cell["alpha"], cell["seed"])
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        session = GraphSession("perf-gate", seed=cell["seed"], graph=graph)
+        best = min(best, time.perf_counter() - start)
+    engine = get_algorithm(session.algorithm, engine=session.engine)
+    result = engine(graph, seed=derive_seed(cell["seed"], 0))
+    if result.mis != session.mis:
+        raise RuntimeError("serve-bootstrap: the rerun does not reproduce the session's MIS")
+    return {
+        "id": _cell_id(cell),
+        **cell,
+        "seconds": round(best, 4),
+        "nodes_per_sec": round(cell["n"] / best, 1),
+        "iterations": result.iterations,
+        "mis_size": len(session.mis),
+    }
+
+
 def run_cell(cell: dict) -> dict:
     """Execute one grid cell, best-of-k timing, and return its record."""
     if cell["algorithm"] == "serve-epoch":
         return _run_serve_epoch_cell(cell)
+    if cell["algorithm"] == "serve-bootstrap":
+        return _run_serve_bootstrap_cell(cell)
     serve_cell = cell["algorithm"].startswith("serve-")
     nx_cell = cell["algorithm"].endswith("-nx")
     csr = None

@@ -1,7 +1,7 @@
 """E16 (extension) — large-n scaling with the bulk engine.
 
 E2 fits growth exponents on n ≤ 8192.  The vectorized bulk engine
-(bit-identical to the scalar fast engine — see its tests) extends the
+(bit-identical to the CONGEST node program — see its tests) extends the
 Métivier baseline sweep to n = 2¹⁷, four more octaves of range.
 
 What it shows, honestly: on bounded-arboricity workloads the Métivier

@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("scalar", "bulk", "mpc"),
             default=None,
             help="engine variant for registered algorithms (bit-identical "
-            "results; default: $REPRO_MIS_ENGINE, else scalar); 'mpc' runs "
-            "the sharded runtime (docs/mpc_runtime.md)",
+            "results; default: $REPRO_MIS_ENGINE); 'scalar' and 'bulk' both "
+            "run the one columnar engine, 'mpc' runs the sharded runtime "
+            "(docs/mpc_runtime.md)",
         )
         p.add_argument(
             "--shards",
@@ -339,7 +340,7 @@ def _run_algorithm(name: str, graph, args, observer=None, session=None):
         if observer is not None:
             kwargs["observer"] = observer
     # ``--shards`` only reaches engines that understand it (names without
-    # an mpc twin fall back to scalar and must not see the knob).
+    # an mpc twin fall back to the plain engine and must not see the knob).
     if getattr(args, "shards", None) and fn.__module__ == "repro.mpc.engines":
         kwargs["shards"] = args.shards
     if session is not None:

@@ -1,6 +1,7 @@
 """Columnar (CSR) graph substrate for the bulk engines.
 
-The scalar engines walk ``networkx`` adjacency dicts; the bulk engines
+The CONGEST node programs and the per-node finishing/repair loops walk
+``networkx`` adjacency dicts; the bulk engines
 (:mod:`repro.mis.bulk`, :mod:`repro.core.bulk`) walk flat arrays.  This
 module owns the array layout and every way of building it:
 
@@ -25,10 +26,10 @@ module owns the array layout and every way of building it:
 
 Keyed-randomness contract (DESIGN.md §4): when every node label is an
 integer, :attr:`CSRGraph.key_ids` holds the labels themselves, so
-``priority_array(seed, key_ids, t)`` draws exactly the stream the scalar
-engines draw with ``priority_draw(seed, label, t)`` — the bit-equivalence
-the tier-1 tests pin.  For non-integer labels (which the scalar engines
-cannot key at all) the dense positions serve as the keys.
+``priority_array(seed, key_ids, t)`` draws exactly the stream the CONGEST
+node programs draw with ``priority_draw(seed, label, t)`` — the
+bit-equivalence the tier-1 tests pin.  For non-integer labels (which
+``priority_draw`` cannot key at all) the dense positions serve as the keys.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class CSRGraph:
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbor *positions* of the
     node at position ``i``, sorted ascending; positions are assigned in
     sorted-label order whenever labels are sortable, so position order
-    coincides with label order on the integer-labeled graphs the scalar
-    engines handle.  Engines never touch labels after construction.
+    coincides with label order on integer-labeled graphs.  Engines never touch labels after construction.
     """
 
     __slots__ = ("labels", "key_ids", "indptr", "indices", "integer_labeled")
@@ -93,10 +93,10 @@ class CSRGraph:
         return int(self.degrees().max()) if self.n else 0
 
     def tiebreak_id(self, position: int) -> int:
-        """The integer the scalar ``(priority, id)`` rule breaks ties with.
+        """The integer the ``(priority, id)`` rule breaks ties with.
 
-        Integer-labeled graphs use the label itself (matching the scalar
-        engines); other graphs use the dense position, which is the only
+        Integer-labeled graphs use the label itself (matching the CONGEST
+        node programs); other graphs use the dense position, which is the only
         total order the bulk engine defines for them.
         """
         if self.integer_labeled:
@@ -117,7 +117,7 @@ def _order_nodes(nodes: Iterable) -> List:
 
     Sorting is what aligns positions with labels on integer graphs (the
     bit-equivalence contract); for unsortable label mixes any fixed order
-    works because no scalar engine defines a competing one.
+    works because no other engine defines a competing one.
     """
     nodes = list(nodes)
     try:

@@ -219,8 +219,8 @@ def bounded_arboricity_graph(n: int, alpha: int, seed: int = 0) -> nx.Graph:
 
     Adjacency order is part of the contract, not only the edge set: nodes
     are ``0..n-1`` in order, and each tree's edges are added in the order
-    a built ``random_tree``'s ``edges()`` lists them.  The scalar engines
-    and the CONGEST simulator iterate the graph in these orders, so tests
+    a built ``random_tree``'s ``edges()`` lists them.  The per-node loops
+    (finishing, repair, the test oracles) and the CONGEST simulator iterate the graph in these orders, so tests
     pin them with golden digests.
     """
     _require_positive(n)

@@ -2,8 +2,9 @@
 
 Every randomized algorithm here is implemented twice behind one interface
 (DESIGN.md §4): as a CONGEST :class:`~repro.congest.algorithm.NodeAlgorithm`
-and as a fast centralized engine, with both drawing identical randomness
-from :mod:`repro.rng`, so their outputs are bit-identical for equal seeds.
+for fidelity and as one columnar kernel (:mod:`repro.mis.bulk`) for speed,
+with both drawing identical randomness from :mod:`repro.rng`, so their
+outputs are bit-identical for equal seeds.
 
 * :mod:`~repro.mis.luby` — Luby's Algorithm A (integer priorities) and
   Algorithm B (degree-based marking), the classic O(log n) baselines;
@@ -17,8 +18,10 @@ from :mod:`repro.rng`, so their outputs are bit-identical for equal seeds.
   MIS used as ground truth in tests;
 * :mod:`~repro.mis.validation` — independence/maximality checkers;
 * :mod:`~repro.mis.csr` / :mod:`~repro.mis.bulk` — the columnar substrate
-  and the bulk (vectorized) third engine of each randomized algorithm,
-  bit-identical to the other two and built for n ≥ 10⁶.
+  and the kernel of each randomized algorithm (re-exported by its module
+  above under the plain name), built for n up to 10⁷;
+* :mod:`~repro.mis.constants` — the rng tags and bounds every engine of
+  Luby B and Ghaffari shares.
 """
 
 from repro.mis.bulk import (

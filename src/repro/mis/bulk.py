@@ -1,41 +1,49 @@
-"""Bulk (numpy-vectorized) MIS engines for large-n experiments.
+"""The columnar engine of each randomized MIS rule.
 
-The scalar fast engines (e.g. :func:`repro.mis.metivier.metivier_mis`)
-loop over nodes in Python — fine up to n ≈ 10⁴, painful beyond.  The bulk
-engines here run the same processes as masked array operations over the
-shared columnar substrate (:mod:`repro.mis.csr` kernels over a
-:class:`repro.graphs.csr.CSRGraph`), drawing the same keyed randomness
-(:func:`repro.rng.priority_array` replicates the scalar splitmix64 chain
-bit for bit), so each is **bit-identical** to its scalar twin — including
-the astronomically-unlikely tie cases, which are detected per iteration
-and resolved with the exact scalar tuple rule.
+Métivier, Luby A, Luby B and Ghaffari each have exactly two
+implementations (DESIGN.md §4): a CONGEST node program for fidelity
+(:mod:`repro.mis.metivier`, :mod:`repro.mis.luby`,
+:mod:`repro.mis.ghaffari`) and the kernel here for speed.  Each kernel
+runs its rule as masked array operations over the shared columnar
+substrate (:mod:`repro.mis.csr` kernels over a
+:class:`repro.graphs.csr.CSRGraph`) and draws the same keyed randomness
+as the node program (:func:`repro.rng.priority_array` replicates the
+per-node splitmix64 chain bit for bit), so both return the same MIS for
+equal seeds — including the astronomically-unlikely tie cases, which are
+detected per iteration and resolved with the exact ``(key, id)`` tuple
+rule.
 
-Four algorithms ride the substrate (all registered in
-:mod:`repro.mis.registry` under ``<name>-bulk`` and selectable through the
-``REPRO_MIS_ENGINE=bulk`` knob):
+* :func:`metivier_mis` — the Métivier et al. priority process;
+* :func:`luby_a_mis` — Luby's Algorithm A (``{1..n⁴}`` priorities);
+* :func:`luby_b_mis` — Luby's Algorithm B (degree-based marking);
+* :func:`ghaffari_mis` — Ghaffari's desire-level algorithm.
 
-* :func:`metivier_mis_bulk` — the Métivier et al. priority process;
-* :func:`luby_a_mis_bulk` — Luby's Algorithm A (``{1..n⁴}`` priorities);
-* :func:`luby_b_mis_bulk` — Luby's Algorithm B (degree-based marking);
-* :func:`ghaffari_mis_bulk` — Ghaffari's desire-level algorithm.
+The algorithm modules re-export these under the same names, and
+:mod:`repro.mis.registry` registers each under its plain name and under
+``<name>-bulk``; ``metivier_mis_bulk is metivier_mis`` and so on.  The
+tests pin every kernel against the per-node loop it replaced.
 
 Every engine accepts either a :class:`networkx.Graph` (any hashable node
 labels — labels are mapped to dense positions once and translated back in
 ``MISResult.mis``) or a prebuilt :class:`~repro.graphs.csr.CSRGraph`,
 which is what powers the n = 10⁷ rows of E16/E17 without ever building a
-``networkx`` object.
+``networkx`` object.  The fixed set-up cost (CSR build, array
+allocation, a few dozen numpy calls per iteration) makes a Métivier call
+on a 5-node graph take ~0.17 ms against ~0.03 ms for a per-node loop;
+the kernel is faster from n ≈ 30–100 up.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple, Union
+from typing import Union
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import AlgorithmError
 from repro.graphs.csr import CSRGraph, csr_from_graph
+from repro.mis.constants import GHAFFARI_MARK_TAG, GHAFFARI_MIN_EXPONENT, LUBY_B_TAG
 from repro.mis.csr import (
     eliminate_winners_bulk,
     keyed_priorities,
@@ -44,14 +52,8 @@ from repro.mis.csr import (
     neighbor_any,
     neighbor_count,
     neighbor_sum,
-    segment_max as _segment_max,  # re-exported for backward compatibility
 )
 from repro.mis.engine import MISResult
-
-# The rng tags are the algorithm definitions' — shared with the scalar and
-# CONGEST engines so all three draw from identical streams.
-from repro.mis.ghaffari import _MARK_TAG, _MIN_EXPONENT
-from repro.mis.luby import _LUBY_B_TAG
 from repro.obs.trace import (
     SPAN_BULK_ITERATION,
     SPAN_KERNEL_COMPETE,
@@ -62,7 +64,10 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "csr_adjacency",
+    "metivier_mis",
+    "luby_a_mis",
+    "luby_b_mis",
+    "ghaffari_mis",
     "metivier_mis_bulk",
     "luby_a_mis_bulk",
     "luby_b_mis_bulk",
@@ -76,27 +81,6 @@ def _as_csr(graph: Union[nx.Graph, CSRGraph]) -> CSRGraph:
     if isinstance(graph, CSRGraph):
         return graph
     return csr_from_graph(graph)
-
-
-def csr_adjacency(graph: nx.Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays ``(node_ids, indptr, indices)`` (legacy interface).
-
-    ``indices`` stores positions into ``node_ids`` (not raw labels).  Kept
-    for callers of the original Métivier-only module; new code should use
-    :func:`repro.graphs.csr.csr_from_graph`, which this wraps.  Unlike the
-    original, it accepts arbitrary hashable node labels (``node_ids``
-    comes back as an object array when labels are not integers).
-    """
-    csr = csr_from_graph(graph)
-    if isinstance(csr.labels, np.ndarray):
-        node_ids = csr.labels
-    else:
-        node_ids = np.array(csr.labels, dtype=object)
-    return node_ids, csr.indptr, csr.indices
-
-
-def _empty_result(algorithm: str, seed: int) -> MISResult:
-    return MISResult(mis=set(), iterations=0, algorithm=algorithm, seed=seed)
 
 
 def _package(
@@ -122,13 +106,18 @@ def _package(
     )
 
 
-def metivier_mis_bulk(
+def metivier_mis(
     graph: Union[nx.Graph, CSRGraph],
     seed: int = 0,
     max_iterations: int = 10_000,
     tracer=None,
 ) -> MISResult:
-    """Vectorized Métivier MIS, bit-identical to the scalar fast engine.
+    """Métivier et al.'s priority process, run to completion.
+
+    Returns a :class:`MISResult` whose ``iterations`` counts priority
+    exchanges (each costs 3 CONGEST rounds; the CONGEST engine
+    :func:`repro.mis.metivier.metivier_mis_congest` reports the exact
+    round count).
 
     Winner rule per iteration: active node wins iff its ``(priority, id)``
     exceeds every active neighbor's.  The vectorized path compares raw
@@ -136,17 +125,14 @@ def metivier_mis_bulk(
     (a ≤ n²/2⁶⁴ event) fall back to exact tuple comparison.
 
     Exhausting ``max_iterations`` returns the partial result with
-    ``extra["completed"] = False`` — the same contract as the scalar
-    engine.  An iteration that produces no winner while nodes remain
-    active is impossible for this process (the maximum active key always
-    wins) and raises :class:`~repro.errors.AlgorithmError` instead of
-    silently returning a non-maximal set.
+    ``extra["completed"] = False``, as every kernel here does.  An
+    iteration that produces no winner while nodes remain active is
+    impossible for this process (the maximum active key always wins) and
+    raises :class:`~repro.errors.AlgorithmError` instead of silently
+    returning a non-maximal set.
     """
     csr = _as_csr(graph)
     n = csr.n
-    if n == 0:
-        return _empty_result("metivier-bulk", seed)
-
     active = np.ones(n, dtype=bool)
     in_mis = np.zeros(n, dtype=bool)
     history = []
@@ -183,7 +169,7 @@ def metivier_mis_bulk(
             tracer.end(k_span)
         if not winners.any():
             raise AlgorithmError(
-                "metivier-bulk made no progress with nodes still active "
+                "metivier made no progress with nodes still active "
                 f"(iteration {iteration}) — engine invariant violated"
             )
         if tracer is not None:
@@ -197,28 +183,26 @@ def metivier_mis_bulk(
 
     if tracer is not None:
         tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "metivier-bulk", seed, history, active)
+    return _package(csr, in_mis, iteration, "metivier", seed, history, active)
 
 
-def luby_a_mis_bulk(
+def luby_a_mis(
     graph: Union[nx.Graph, CSRGraph],
     seed: int = 0,
     max_iterations: int = 10_000,
     tracer=None,
 ) -> MISResult:
-    """Vectorized Luby Algorithm A, bit-identical to the scalar engine.
+    """Luby's Algorithm A: Métivier's process with ``{1..n⁴}`` priorities.
 
-    Scalar priorities are ``1 + draw mod n⁴``.  For n⁴ < 2⁶⁴ the modulus
-    is computed in uint64; beyond that every 64-bit draw is below n⁴, so
-    the raw draw already has the scalar priority's order and serves as the
-    comparison key directly.  Ties (likelier than Métivier's since the
-    range is n⁴) fall back to the exact ``(priority, id)`` rule.
+    Priorities are ``1 + draw mod n⁴``, as the node program draws them.
+    For n⁴ < 2⁶⁴ the modulus is computed in uint64; beyond that every
+    64-bit draw is below n⁴, so the raw draw already has the priority's
+    order and serves as the comparison key directly.  Ties (likelier
+    than Métivier's since the range is n⁴) fall back to the exact
+    ``(priority, id)`` rule.
     """
     csr = _as_csr(graph)
     n = csr.n
-    if n == 0:
-        return _empty_result("luby-a-bulk", seed)
-
     range_size = max(1, n) ** 4
     small_range = range_size < _UINT64_CARDINALITY
     active = np.ones(n, dtype=bool)
@@ -243,7 +227,7 @@ def luby_a_mis_bulk(
         if small_range:
             keys = np.mod(raw, np.uint64(range_size)) + np.uint64(1)
         else:
-            keys = raw  # same order as 1 + raw, and 1 + raw == scalar
+            keys = raw  # same order as 1 + raw, and 1 + raw is the priority
         masked = np.where(active, keys, np.uint64(0))
         if tracer is not None:
             tracer.end(k_span)
@@ -259,7 +243,7 @@ def luby_a_mis_bulk(
             tracer.end(k_span)
         if not winners.any():
             raise AlgorithmError(
-                "luby-a-bulk made no progress with nodes still active "
+                "luby-a made no progress with nodes still active "
                 f"(iteration {iteration}) — engine invariant violated"
             )
         if tracer is not None:
@@ -273,10 +257,10 @@ def luby_a_mis_bulk(
 
     if tracer is not None:
         tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "luby-a-bulk", seed, history, active)
+    return _package(csr, in_mis, iteration, "luby-a", seed, history, active)
 
 
-def luby_b_mis_bulk(
+def luby_b_mis(
     graph: Union[nx.Graph, CSRGraph],
     seed: int = 0,
     max_iterations: int = 10_000,
@@ -284,22 +268,20 @@ def luby_b_mis_bulk(
 ) -> MISResult:
     """Vectorized Luby Algorithm B (degree-based marking).
 
-    The scalar key ``(marked, active_degree, id)`` is encoded into one
+    The node program's key ``(marked, active_degree, id)`` is encoded into one
     uint64 as ``degree·n + position + 1`` for marked nodes and 0 for
     everyone else: positions are assigned in sorted-label order, so the
     encoding's numeric order equals the tuple order, and embedding the
     position makes keys unique — the fast path is always exact.  Marking
-    coins replicate the scalar float comparison bit for bit.
+    coins replicate the node program's float comparison bit for bit.
 
     Iterations where no node marks itself legitimately select no winner
-    (the scalar engine idles the same way), so only ``max_iterations``
-    bounds the loop, with the scalar engine's partial-result contract.
+    (the node program idles the same way), so only ``max_iterations``
+    bounds the loop, with the partial-result contract of
+    :func:`metivier_mis`.
     """
     csr = _as_csr(graph)
     n = csr.n
-    if n == 0:
-        return _empty_result("luby-b-bulk", seed)
-
     positions = np.arange(n, dtype=np.uint64)
     active = np.ones(n, dtype=bool)
     in_mis = np.zeros(n, dtype=bool)
@@ -324,8 +306,8 @@ def luby_b_mis_bulk(
         if tracer is not None:
             tracer.end(k_span)
             k_span = tracer.begin(SPAN_KERNEL_DRAW, round=iteration)
-        uniforms = keyed_uniforms(csr, seed, iteration, tag=_LUBY_B_TAG)
-        # Scalar coin: p = 1/(2d), or certainty when the active degree is 0.
+        uniforms = keyed_uniforms(csr, seed, iteration, tag=LUBY_B_TAG)
+        # Marking coin: p = 1/(2d), or certainty when the active degree is 0.
         thresholds = 1.0 / (2.0 * np.maximum(degrees, 1).astype(np.float64))
         marked = active & ((degrees == 0) | (uniforms < thresholds))
         if tracer is not None:
@@ -360,10 +342,10 @@ def luby_b_mis_bulk(
 
     if tracer is not None:
         tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "luby-b-bulk", seed, history, active)
+    return _package(csr, in_mis, iteration, "luby-b", seed, history, active)
 
 
-def ghaffari_mis_bulk(
+def ghaffari_mis(
     graph: Union[nx.Graph, CSRGraph],
     seed: int = 0,
     max_iterations: int = 20_000,
@@ -375,13 +357,11 @@ def ghaffari_mis_bulk(
     coins, the no-marked-neighbor join rule, and the effective-degree
     update are all segment reductions.  Effective degrees are sums of
     exact powers of two accumulated in ascending neighbor order — see
-    docs/columnar_substrate.md for why this matches the scalar engine.
+    docs/columnar_substrate.md for why this matches the node program's
+    per-node sums.
     """
     csr = _as_csr(graph)
     n = csr.n
-    if n == 0:
-        return _empty_result("ghaffari-bulk", seed)
-
     active = np.ones(n, dtype=bool)
     in_mis = np.zeros(n, dtype=bool)
     exponents = np.ones(n, dtype=np.int64)
@@ -409,7 +389,7 @@ def ghaffari_mis_bulk(
             else None
         )
         desires = np.ldexp(1.0, -exponents.astype(np.int32))  # exact 2^-j
-        uniforms = keyed_uniforms(csr, seed, iteration, tag=_MARK_TAG)
+        uniforms = keyed_uniforms(csr, seed, iteration, tag=GHAFFARI_MARK_TAG)
         marked = active & (uniforms < desires)
         if tracer is not None:
             tracer.end(k_span)
@@ -422,7 +402,7 @@ def ghaffari_mis_bulk(
         # Desire update against the pre-elimination neighborhood, as in
         # the paper: d_t(v) sums this iteration's p values.
         effective = neighbor_sum(np.where(active, desires, 0.0), csr)
-        raised = np.minimum(_MIN_EXPONENT, exponents + 1)
+        raised = np.minimum(GHAFFARI_MIN_EXPONENT, exponents + 1)
         lowered = np.maximum(1, exponents - 1)
         exponents = np.where(
             active, np.where(effective >= 2.0, raised, lowered), exponents
@@ -444,9 +424,16 @@ def ghaffari_mis_bulk(
         csr,
         in_mis,
         iteration,
-        "ghaffari-bulk",
+        "ghaffari",
         seed,
         history,
         active,
         extra={"iterations_to_shatter": shatter_iteration},
     )
+
+
+#: The ``<name>-bulk`` spellings: the same functions, one per rule.
+metivier_mis_bulk = metivier_mis
+luby_a_mis_bulk = luby_a_mis
+luby_b_mis_bulk = luby_b_mis
+ghaffari_mis_bulk = ghaffari_mis

@@ -20,7 +20,7 @@ through one).
 
 Everything here is a pure function of its arguments — no wall clocks, no
 global state — so the substrate inherits the determinism contract the
-lint enforces for the scalar engines.
+lint enforces for the CONGEST node programs.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def keyed_uniforms(
 ) -> np.ndarray:
     """All nodes' uniform [0, 1) draws, bit-identical to ``uniform_draw``.
 
-    Same construction as the scalar path: top 53 bits of the keyed hash
+    Same construction as ``uniform_draw``: top 53 bits of the keyed hash
     scaled by 2⁻⁵³ — both steps exact in float64, so the comparison
     against any threshold lands on the same side in both engines.
     """
@@ -160,7 +160,7 @@ def masked_competition(
     """Winners of one competition step: contenders beating every neighbor.
 
     ``keys`` is a uint64 array where every non-participant holds 0 and
-    participants hold a value whose numeric order equals their scalar key
+    participants hold a value whose numeric order equals their tuple key
     order.  The fast path declares a contender a winner iff its key
     strictly exceeds the neighborhood maximum; it is taken whenever the
     contender keys are unique and nonzero, which holds with probability
@@ -171,7 +171,7 @@ def masked_competition(
     maps a position to the full comparison tuple (ending in the tiebreak
     id, so keys are unique) and ``blockers`` (default: contenders) marks
     the nodes whose keys can dominate a neighbor.  This reproduces the
-    scalar engines' ``(priority, id)`` comparison bit for bit.
+    node programs' ``(priority, id)`` comparison bit for bit.
     """
     if blockers is None:
         blockers = contenders

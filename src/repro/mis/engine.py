@@ -1,4 +1,4 @@
-"""Shared machinery for the dual-engine MIS implementations.
+"""Shared machinery for the MIS competition processes.
 
 The randomized MIS algorithms in this library are all *competition
 processes*: in each iteration every still-active node gets a comparable
@@ -7,9 +7,10 @@ leave the graph.  This module holds the pieces they share:
 
 * :class:`MISResult` — the uniform return type (MIS, iteration count,
   CONGEST round count and metrics when available, per-iteration history);
-* :func:`active_adjacency` — mutable adjacency for the fast engines;
+* :func:`active_adjacency` — mutable adjacency for the per-node loops
+  (finishing, degree reduction, Lenzen–Wattenhofer, serve repair);
 * :func:`competition_winners` / :func:`eliminate_winners` — one iteration
-  of the competition process;
+  of the competition process over that adjacency;
 * :class:`PhasedMISNodeProgram` — the CONGEST skeleton implementing the
   3-round iteration structure (priorities → join announcements → leave
   announcements) that Luby A, Métivier, Ghaffari and the paper's algorithm
@@ -76,7 +77,7 @@ class MISResult:
 
 
 def active_adjacency(graph: nx.Graph) -> Dict[int, Set[int]]:
-    """Mutable adjacency-dict copy used by the fast engines.
+    """Mutable adjacency-dict copy used by the per-node loops.
 
     Raises :class:`~repro.errors.GraphError` naming the node on a
     self-loop, as :func:`~repro.graphs.csr.csr_from_graph` does: no engine

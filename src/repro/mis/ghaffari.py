@@ -18,92 +18,34 @@ the exponent — O(log log)-bit payloads, comfortably within budget.
 
 Like the Luby/Métivier analyses, the main phase leaves a shattered residue;
 the paper's §3.3 notes its finishing-up machinery applies to Ghaffari too.
-Here the fast/CONGEST engines simply run the marking process to completion
-(it is a complete MIS algorithm on its own, just with a weaker tail
-guarantee), and ``extra["iterations_to_shatter"]`` reports when the active
+Here both engines simply run the marking process to completion (it is a
+complete MIS algorithm on its own, just with a weaker tail guarantee):
+:func:`ghaffari_mis`, the columnar kernel (:mod:`repro.mis.bulk`,
+re-exported here), and :class:`GhaffariMIS`, the CONGEST node program.
+The kernel's ``extra["iterations_to_shatter"]`` reports when the active
 count first dropped below ``n / log²n`` for the E12 analysis.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Set, Tuple
+from typing import Tuple
 
 import networkx as nx
 
 from repro.congest.algorithm import NodeContext
 from repro.congest.network import Network
 from repro.congest.simulator import SynchronousSimulator
-from repro.mis.engine import (
-    MISResult,
-    PhasedMISNodeProgram,
-    active_adjacency,
-    eliminate_winners,
-    mis_from_outputs,
-)
+from repro.mis.bulk import ghaffari_mis
+from repro.mis.constants import GHAFFARI_MARK_TAG, GHAFFARI_MIN_EXPONENT
+from repro.mis.engine import MISResult, PhasedMISNodeProgram, mis_from_outputs
 from repro.rng import uniform_draw
 
 __all__ = ["ghaffari_mis", "GhaffariMIS", "ghaffari_mis_congest"]
 
-_MARK_TAG = 23  # rng tag for the marking coin
-_MIN_EXPONENT = 60  # floor for p = 2^-j, keeps exponents bounded
-
 
 def _marked(seed: int, node: int, iteration: int, exponent: int) -> bool:
     """Marking coin: probability 2^-exponent, from the shared keyed stream."""
-    return uniform_draw(seed, node, iteration, tag=_MARK_TAG) < 2.0**-exponent
-
-
-def ghaffari_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 20_000) -> MISResult:
-    """Fast engine for Ghaffari's algorithm (exponent representation)."""
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    exponents: Dict[int, int] = {v: 1 for v in graph.nodes()}  # p = 2^-1
-    mis: Set[int] = set()
-    history = []
-    n = max(2, graph.number_of_nodes())
-    shatter_threshold = n / max(1.0, math.log(n) ** 2)
-    shatter_iteration = None
-
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
-        if shatter_iteration is None and len(active) <= shatter_threshold:
-            shatter_iteration = iteration
-
-        marked = {v for v in active if _marked(seed, v, iteration, exponents[v])}
-        winners = {
-            v for v in marked if not any(u in marked for u in adjacency[v] if u in active)
-        }
-
-        # Desire update uses the *pre-elimination* neighborhood, as in the
-        # paper: d_t(v) is computed from this iteration's p values.
-        new_exponents = dict(exponents)
-        for v in active:
-            effective_degree = sum(
-                2.0 ** -exponents[u] for u in adjacency[v] if u in active
-            )
-            if effective_degree >= 2.0:
-                new_exponents[v] = min(_MIN_EXPONENT, exponents[v] + 1)
-            else:
-                new_exponents[v] = max(1, exponents[v] - 1)
-        exponents = new_exponents
-
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="ghaffari",
-        seed=seed,
-        active_history=history,
-        extra={
-            "completed": not active,
-            "iterations_to_shatter": shatter_iteration,
-        },
-    )
+    return uniform_draw(seed, node, iteration, tag=GHAFFARI_MARK_TAG) < 2.0**-exponent
 
 
 class GhaffariMIS(PhasedMISNodeProgram):
@@ -136,7 +78,7 @@ class GhaffariMIS(PhasedMISNodeProgram):
         effective_degree = sum(2.0 ** -key[1] for key in neighbor_keys.values())
         exponent = ctx.state["exponent"]
         if effective_degree >= 2.0:
-            ctx.state["exponent"] = min(_MIN_EXPONENT, exponent + 1)
+            ctx.state["exponent"] = min(GHAFFARI_MIN_EXPONENT, exponent + 1)
         else:
             ctx.state["exponent"] = max(1, exponent - 1)
 

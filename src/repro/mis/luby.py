@@ -13,27 +13,24 @@ probability ``1/(2 deg(v))`` (probability 1 if its active degree is 0); a
 marked node joins unless a marked neighbor has strictly larger
 ``(degree, id)``; winners and neighbors leave.  O(log n) iterations w.h.p.
 
-Both come in fast and CONGEST flavors with shared randomness, like every
-algorithm in :mod:`repro.mis`.
+Each has two engines with shared randomness (DESIGN.md §4): the columnar
+kernels :func:`luby_a_mis` and :func:`luby_b_mis` (:mod:`repro.mis.bulk`,
+re-exported here) and the CONGEST node programs :class:`LubyAMIS` and
+:class:`LubyBMIS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Tuple
 
 import networkx as nx
 
 from repro.congest.algorithm import NodeContext
 from repro.congest.network import Network
 from repro.congest.simulator import SynchronousSimulator
-from repro.mis.engine import (
-    MISResult,
-    PhasedMISNodeProgram,
-    active_adjacency,
-    competition_winners,
-    eliminate_winners,
-    mis_from_outputs,
-)
+from repro.mis.bulk import luby_a_mis, luby_b_mis
+from repro.mis.constants import LUBY_B_TAG
+from repro.mis.engine import MISResult, PhasedMISNodeProgram, mis_from_outputs
 from repro.rng import priority_draw, uniform_draw
 
 __all__ = [
@@ -45,40 +42,11 @@ __all__ = [
     "luby_b_mis_congest",
 ]
 
-_LUBY_B_TAG = 17  # rng tag separating Luby B's coin from priority draws
-
 
 def _luby_a_priority(seed: int, node: int, iteration: int, n: int) -> int:
     """A uniform draw from {1, ..., n^4} derived from the 64-bit stream."""
     range_size = max(1, n) ** 4
     return 1 + priority_draw(seed, node, iteration) % range_size
-
-
-def luby_a_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 10_000) -> MISResult:
-    """Fast engine for Luby's Algorithm A."""
-    n = graph.number_of_nodes()
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
-
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
-        keys = {v: (_luby_a_priority(seed, v, iteration, n), v) for v in active}
-        winners = competition_winners(active, adjacency, keys)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="luby-a",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
 
 
 class LubyAMIS(PhasedMISNodeProgram):
@@ -109,48 +77,7 @@ def _luby_b_marked(seed: int, node: int, iteration: int, active_degree: int) -> 
     """Luby B's marking coin: probability 1/(2d), or 1 when d = 0."""
     if active_degree == 0:
         return True
-    return uniform_draw(seed, node, iteration, tag=_LUBY_B_TAG) < 1.0 / (2.0 * active_degree)
-
-
-def luby_b_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 10_000) -> MISResult:
-    """Fast engine for Luby's Algorithm B (degree-based marking).
-
-    Key encoding: unmarked nodes play ``(0, 0, v)`` and are ineligible;
-    marked nodes play ``(1, active_degree, v)``.  A marked node is a winner
-    iff its key beats every active neighbor's key, which reproduces Luby's
-    rule "unmark if a marked neighbor has larger (degree, id)" exactly.
-    """
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
-
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
-        degrees = {v: sum(1 for u in adjacency[v] if u in active) for v in active}
-        marked = {
-            v for v in active if _luby_b_marked(seed, v, iteration, degrees[v])
-        }
-        keys: Dict[int, Tuple] = {}
-        for v in active:
-            if v in marked:
-                keys[v] = (1, degrees[v], v)
-            else:
-                keys[v] = (0, 0, v)
-        winners = competition_winners(active, adjacency, keys, eligible=marked)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="luby-b",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
+    return uniform_draw(seed, node, iteration, tag=LUBY_B_TAG) < 1.0 / (2.0 * active_degree)
 
 
 class LubyBMIS(PhasedMISNodeProgram):

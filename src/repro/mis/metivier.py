@@ -11,72 +11,32 @@ substitution 2) with node-id tie-breaking, which keeps messages at
 O(log n) bits and the process distribution equal to the real-valued version
 up to 2^-64 tie events.
 
-Two engines (DESIGN.md §4): :func:`metivier_mis` (fast) and
-:class:`MetivierMIS` (CONGEST); identical seeds give identical MIS outputs.
+Two engines (DESIGN.md §4): :func:`metivier_mis`, the columnar kernel
+(:mod:`repro.mis.bulk`, re-exported here), and :class:`MetivierMIS`, the
+CONGEST node program; identical seeds give identical MIS outputs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Tuple
 
 import networkx as nx
 
 from repro.congest.algorithm import NodeContext
 from repro.congest.network import Network
 from repro.congest.simulator import SynchronousSimulator
-from repro.mis.engine import (
-    MISResult,
-    PhasedMISNodeProgram,
-    active_adjacency,
-    competition_winners,
-    eliminate_winners,
-    mis_from_outputs,
-)
+from repro.mis.bulk import metivier_mis
+from repro.mis.engine import MISResult, PhasedMISNodeProgram, mis_from_outputs
 from repro.rng import priority_draw
 
 __all__ = ["metivier_mis", "MetivierMIS", "metivier_mis_congest"]
-
-
-def metivier_mis(
-    graph: nx.Graph,
-    seed: int = 0,
-    max_iterations: int = 10_000,
-) -> MISResult:
-    """Fast engine: run Métivier et al. to completion.
-
-    Returns a :class:`MISResult` whose ``iterations`` counts priority
-    exchanges (each costs 3 CONGEST rounds; the CONGEST engine reports the
-    exact round count).
-    """
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
-
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
-        keys = {v: (priority_draw(seed, v, iteration), v) for v in active}
-        winners = competition_winners(active, adjacency, keys)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="metivier",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
 
 
 class MetivierMIS(PhasedMISNodeProgram):
     """CONGEST engine: the same process as a node program.
 
     Keys are ``(priority, node)`` with the priority drawn from
-    ``(seed, node, iteration)`` — the identical stream the fast engine uses.
+    ``(seed, node, iteration)`` — the identical stream the kernel draws.
     """
 
     name = "metivier"

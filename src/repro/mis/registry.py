@@ -4,14 +4,15 @@ Keeping the lookup here (instead of ad-hoc dicts inside each benchmark)
 guarantees every table in EXPERIMENTS.md refers to the same implementations
 under the same names.
 
-Engines: every randomized algorithm registers its scalar fast engine under
-its plain name and, when one exists, its columnar bulk engine
-(:mod:`repro.mis.bulk`) under ``<name>-bulk``.  Since the engines are
-bit-identical for equal seeds (tier-1 tested), a caller may also ask for a
-name's bulk variant implicitly with ``REPRO_MIS_ENGINE=bulk`` (or
-``get_algorithm(name, engine="bulk")``) — algorithms without a bulk engine
-fall back to their scalar one, so the knob is safe to set globally for a
-sweep.
+Engines: Métivier, Luby A, Luby B and Ghaffari each have one fast
+engine, the columnar kernel of :mod:`repro.mis.bulk`, registered under the
+plain name and under ``<name>-bulk`` (one function, two names, so sweep
+caches and perf baselines keyed by either keep working).  Each also has a
+sharded MPC engine under ``<name>-mpc``.  ``REPRO_MIS_ENGINE`` (or
+``get_algorithm(name, engine=...)``) accepts ``"scalar"`` and ``"bulk"``
+— both select the plain registration — and ``"mpc"``, which selects the
+``-mpc`` twin when one exists and the plain registration otherwise, so the
+knob is safe to set globally for a sweep.
 """
 
 from __future__ import annotations
@@ -51,16 +52,8 @@ def unregister_algorithm(name: str) -> None:
 
 def _bootstrap() -> None:
     from repro.core.arb_mis import arb_mis
-    from repro.mis.bulk import (
-        ghaffari_mis_bulk,
-        luby_a_mis_bulk,
-        luby_b_mis_bulk,
-        metivier_mis_bulk,
-    )
-    from repro.mis.ghaffari import ghaffari_mis
+    from repro.mis.bulk import ghaffari_mis, luby_a_mis, luby_b_mis, metivier_mis
     from repro.mis.lenzen_wattenhofer import lenzen_wattenhofer_tree_mis
-    from repro.mis.luby import luby_a_mis, luby_b_mis
-    from repro.mis.metivier import metivier_mis
     from repro.mis.tree import tree_mis
     from repro.mpc.engines import (
         ghaffari_mis_mpc,
@@ -77,10 +70,10 @@ def _bootstrap() -> None:
         "tree-independent-set": tree_mis,
         "lenzen-wattenhofer": lenzen_wattenhofer_tree_mis,
         "arb-mis": arb_mis,
-        "luby-a-bulk": luby_a_mis_bulk,
-        "luby-b-bulk": luby_b_mis_bulk,
-        "metivier-bulk": metivier_mis_bulk,
-        "ghaffari-bulk": ghaffari_mis_bulk,
+        "luby-a-bulk": luby_a_mis,
+        "luby-b-bulk": luby_b_mis,
+        "metivier-bulk": metivier_mis,
+        "ghaffari-bulk": ghaffari_mis,
         "luby-a-mpc": luby_a_mis_mpc,
         "luby-b-mpc": luby_b_mis_mpc,
         "metivier-mpc": metivier_mis_mpc,
@@ -108,7 +101,7 @@ def get_node_program(name: str, graph: nx.Graph, alpha: int = 2):
     Returns ``(program, max_rounds)`` — ``max_rounds`` is the program's
     fixed schedule length when it has one (BoundedArb), else None (run to
     quiescence).  This is the lookup the fault-injection path uses: unlike
-    :func:`get_algorithm`'s fast engines, node programs execute through
+    :func:`get_algorithm`'s engines, node programs execute through
     :class:`~repro.congest.simulator.SynchronousSimulator` and therefore
     honor crash schedules and message adversaries.
     """
@@ -144,12 +137,13 @@ def get_algorithm(name: str, engine: Optional[str] = None) -> AlgorithmFn:
     """Look up an algorithm by registry name.
 
     ``engine`` (default: the ``REPRO_MIS_ENGINE`` environment variable)
-    selects between the bit-identical engines of a name: ``"scalar"`` (the
-    plain registration), ``"bulk"`` (the columnar ``<name>-bulk``
-    registration when present, scalar otherwise), or ``"mpc"`` (the
-    sharded ``<name>-mpc`` registration when present, scalar otherwise —
+    selects between the bit-identical engines of a name: ``None``,
+    ``"scalar"`` and ``"bulk"`` all return the plain registration (for
+    Métivier, Luby A/B and Ghaffari that is the columnar kernel, also
+    registered as ``<name>-bulk``); ``"mpc"`` returns the sharded
+    ``<name>-mpc`` registration when present, the plain one otherwise —
     shard count and pool size come from ``REPRO_MPC_SHARDS`` and
-    ``REPRO_MPC_WORKERS``).
+    ``REPRO_MPC_WORKERS``.
 
     >>> fn = get_algorithm("metivier")
     >>> import networkx as nx
@@ -164,13 +158,8 @@ def get_algorithm(name: str, engine: Optional[str] = None) -> AlgorithmFn:
         raise ConfigurationError(
             f"unknown engine {engine!r}; use 'scalar', 'bulk', or 'mpc'"
         )
-    for suffix in ("bulk", "mpc"):
-        if (
-            engine == suffix
-            and not name.endswith(f"-{suffix}")
-            and f"{name}-{suffix}" in _REGISTRY
-        ):
-            name = f"{name}-{suffix}"
+    if engine == "mpc" and not name.endswith("-mpc") and f"{name}-mpc" in _REGISTRY:
+        name = f"{name}-mpc"
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -6,8 +6,8 @@ kernels per shard — inline or on a ``multiprocessing`` pool with
 shared-memory statics — exchanging only frontier state between rounds
 (:mod:`repro.mpc.runtime`), with every inter-shard byte metered against
 a configurable per-shard budget (:mod:`repro.mpc.budget`).  The sharded
-engines are bit-identical to the bulk and scalar engines for every seed
-and shard count; select them with ``REPRO_MIS_ENGINE=mpc`` or
+engines are bit-identical to the columnar kernels for every seed and
+shard count; select them with ``REPRO_MIS_ENGINE=mpc`` or
 ``get_algorithm(name, engine="mpc")``.
 """
 

@@ -1,6 +1,6 @@
 """Registry-facing wrappers: the four ``<name>-mpc`` MIS engines.
 
-Each wrapper has the same call shape as its scalar and bulk twins
+Each wrapper has the same call shape as its columnar-kernel twin
 (``fn(graph, seed=0, max_iterations=...)``) so it can slot into
 :mod:`repro.mis.registry`, sweeps, and the CLI unchanged, while passing
 the sharded runtime's extra knobs (``shards``, ``workers``, ``budget``,

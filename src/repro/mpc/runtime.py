@@ -21,8 +21,8 @@ Execution model (docs/mpc_runtime.md has the full walkthrough):
   every change — the ``last_sent`` invariant), the shard-restricted
   segment reductions compute exactly the rows the bulk kernel would,
   which is why the sharded engines are **bit-identical** to the bulk
-  (and hence scalar) engines for every seed and every shard count — the
-  four-way equivalence the tier-1 suite pins.
+  kernels (and hence to the CONGEST node programs) for every seed and
+  every shard count — the equivalence the tier-1 suite pins.
 * The astronomically-rare degenerate draws (duplicate/zero priorities,
   Métivier and Luby A only) are detected by a coordinator-side audit that
   replays the bulk engine's exact global check and, when triggered, its
@@ -67,8 +67,7 @@ from repro.mis.csr import (
     segment_sum,
 )
 from repro.mis.engine import MISResult
-from repro.mis.ghaffari import _MARK_TAG, _MIN_EXPONENT
-from repro.mis.luby import _LUBY_B_TAG
+from repro.mis.constants import GHAFFARI_MARK_TAG, GHAFFARI_MIN_EXPONENT, LUBY_B_TAG
 from repro.mpc.budget import CommBudget, CommReport, ShardCommMeter
 from repro.mpc.partition import ShardPlan, partition_csr
 from repro.obs.events import (
@@ -272,7 +271,7 @@ def _phase_compute(
             if range_size < _UINT64_CARDINALITY:
                 keys = np.mod(raw, np.uint64(range_size)) + np.uint64(1)
             else:
-                keys = raw  # same order as 1 + raw (the scalar priority)
+                keys = raw  # same order as 1 + raw (the priority)
         else:
             keys = raw
         masked = np.where(active_sup, keys, np.uint64(0))
@@ -283,7 +282,7 @@ def _phase_compute(
     if algorithm == "luby-b":
         degrees = scratch["degree"].astype(np.int64)
         uniforms = _keyed_uniforms_sup(
-            static.key_ids_sup, seed, iteration, _LUBY_B_TAG
+            static.key_ids_sup, seed, iteration, LUBY_B_TAG
         )
         thresholds = 1.0 / (2.0 * np.maximum(degrees, 1).astype(np.float64))
         marked = active_sup & ((degrees == 0) | (uniforms < thresholds))
@@ -302,7 +301,7 @@ def _phase_compute(
         exponents = scratch["exponent"].astype(np.int64)
         desires = np.ldexp(1.0, -exponents.astype(np.int32))  # exact 2^-j
         uniforms = _keyed_uniforms_sup(
-            static.key_ids_sup, seed, iteration, _MARK_TAG
+            static.key_ids_sup, seed, iteration, GHAFFARI_MARK_TAG
         )
         marked = active_sup & (uniforms < desires)
         any_marked = segment_max(
@@ -317,7 +316,7 @@ def _phase_compute(
             static.indptr_local,
         )
         exp_loc = exponents[loc]
-        raised = np.minimum(_MIN_EXPONENT, exp_loc + 1)
+        raised = np.minimum(GHAFFARI_MIN_EXPONENT, exp_loc + 1)
         lowered = np.maximum(1, exp_loc - 1)
         new_exp = np.where(
             active_sup[loc], np.where(effective >= 2.0, raised, lowered), exp_loc

@@ -149,7 +149,7 @@ def priority_array(seed: int, nodes: "np.ndarray", round_index: int, tag: int = 
 
     ``priority_array(s, np.array([v]), t, g)[0] == priority_draw(s, v, t, g)``
     bit for bit — the property that lets the bulk engines
-    (:mod:`repro.mis.bulk`) stand in for the scalar fast engines.
+    (:mod:`repro.mis.bulk`) draw what the CONGEST node programs draw.
     """
     return derive_seed_array(seed, nodes.astype(np.uint64), round_index, tag)
 

@@ -3,10 +3,10 @@
 The load-bearing equivalence of docs/mpc_runtime.md: for every algorithm,
 every seed, and every shard count, the sharded engine returns the same
 MIS, the same iteration count, and the same active-set trajectory as the
-bulk engine — which is itself bit-identical to the scalar engine.  A
-single run therefore has four independent witnesses (scalar, bulk, and
-mpc at several shard counts), and any divergence pinpoints the layer
-that broke.
+columnar kernel — which is itself bit-identical to the per-node
+reference oracle.  A single run therefore has independent witnesses
+(oracle, kernel, and mpc at several shard counts), and any divergence
+pinpoints the layer that broke.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.graphs.generators import random_tree
 from repro.mis.registry import get_algorithm
 from repro.mpc import run_sharded
+from tests.mis.test_mis_differential import RULES
 
 ALGORITHMS = ["metivier", "luby-a", "luby-b", "ghaffari"]
 SHARD_COUNTS = [1, 2, 4, 8]
@@ -35,10 +36,10 @@ def graphs():
 def test_mpc_matches_bulk_and_scalar_across_shard_counts(algorithm):
     for graph in graphs():
         seed = 5
-        scalar = get_algorithm(algorithm, engine="scalar")(graph, seed=seed)
+        oracle = RULES[algorithm][1](graph, seed=seed)
         bulk = get_algorithm(algorithm, engine="bulk")(graph, seed=seed)
-        assert bulk.mis == scalar.mis
-        assert bulk.iterations == scalar.iterations
+        assert bulk.mis == oracle.mis
+        assert bulk.iterations == oracle.iterations
         for shards in SHARD_COUNTS:
             mpc = run_sharded(algorithm, graph, seed=seed, shards=shards)
             assert mpc.mis == bulk.mis, (algorithm, shards)
